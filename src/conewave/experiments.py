@@ -31,11 +31,9 @@ from .frequency_geometry import VOLUME_CASES, volume_exponent_fit
 from .nlw_solver import (CauchyData, Nonlinearity, SolverConfig, energy,
                          picard_solve, random_data, rk4_solve, strichartz_probe)
 from .norms import _as_fraction, scaling_law_check, spatial_l2
-from .spectral_grid import PHYSICAL, GridSpec, SpatialField
+from .spectral_grid import PHYSICAL, TWO_PI, GridSpec, SpatialField
 from ._regression import fit_power_law
 from .trilinear_forms import AscentConfig, BallConeRegions, best_constant
-
-TWO_PI = 2.0 * math.pi
 
 EXPERIMENT_KINDS = ("volumes", "constants", "ledger", "solve", "scaling",
                     "strichartz")
@@ -151,13 +149,22 @@ def _parse_scalar(raw: str):
         return raw
 
 
+_TYPE_NAMES = {bool: "a boolean", int: "an integer"}
+
+
 def get_value(section: dict, key: str, default=None, required=False,
-              section_name=""):
+              section_name="", expect=None):
+    """Parsed value of key; with expect (bool or int) any other type is a
+    ConfigError, so "maybe" is not a boolean and 64.5 is not an integer."""
     if key not in section:
         if required:
             raise ConfigError("missing required key", section=section_name, key=key)
         return default
-    return _parse_scalar(section[key])
+    value = _parse_scalar(section[key])
+    if expect is not None and type(value) is not expect:
+        raise ConfigError(f"must be {_TYPE_NAMES[expect]}, got {section[key]!r}",
+                          section=section_name, key=key)
+    return value
 
 
 def get_list(section: dict, key: str, default=None, required=False,
@@ -553,12 +560,11 @@ def _run_solve(cfg: ExperimentConfig, workers: int, out: Path):
     amplitude = float(get_value(sec, "amplitude", 1e-3, section_name="params"))
     mode = get_list(sec, "mode", [1, 0], section_name="params")
     T = float(get_value(sec, "t_final", 0.1, section_name="params"))
-    n_steps = int(get_value(sec, "n_steps", 64, section_name="params"))
     solver_cfg = SolverConfig(
-        T=T, n_steps=n_steps,
+        T=T, n_steps=get_value(sec, "n_steps", 64, section_name="params", expect=int),
         picard_tol=float(get_value(sec, "picard_tol", 1e-10, section_name="params")),
-        picard_max=int(get_value(sec, "picard_max", 30, section_name="params")),
-        dealias=bool(get_value(sec, "dealias", True, section_name="params")))
+        picard_max=get_value(sec, "picard_max", 30, section_name="params", expect=int),
+        dealias=get_value(sec, "dealias", True, section_name="params", expect=bool))
     data = _single_mode_data(grid, mode, amplitude)
     traj, report = picard_solve(data, kind, solver_cfg)
     oracle = rk4_solve(data, kind, solver_cfg)
@@ -582,6 +588,10 @@ def _run_solve(cfg: ExperimentConfig, workers: int, out: Path):
         "rk4_unstable": oracle.meta.get("unstable", False),
     }]
     files.append(emit_results(summary, "csv", out / "summary.csv"))
+    history = [{"iteration": i, "residual": r}
+               for i, r in enumerate(report.residuals, start=1)]
+    files.append(emit_results(history, "csv", out / "residuals.csv",
+                              field_order=["iteration", "residual"]))
     return files, []
 
 

@@ -17,10 +17,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .spectral_grid import is_dyadic
+from .spectral_grid import TWO_PI, is_dyadic
 from ._regression import fit_power_law
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------

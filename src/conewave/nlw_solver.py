@@ -16,11 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .norms import _as_fraction, fl_norm, mixed_norm
-from .spectral_grid import (FREQUENCY, PHYSICAL, GridSpec, SpaceTimeField,
-                            SpatialField, to_frequency, to_physical)
-
-TWO_PI = 2.0 * math.pi
+from .norms import _as_fraction, _conjugate, fl_norm, mixed_norm
+from .spectral_grid import (FREQUENCY, PHYSICAL, TWO_PI, GridSpec,
+                            SpaceTimeField, SpatialField, to_frequency,
+                            to_physical)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +266,44 @@ def duhamel_apply(times, forces, k: int, derivative: bool = False) -> SpatialFie
     return to_physical(SpatialField(grid, acc, FREQUENCY))
 
 
+def _duhamel_sweep(grid: GridSpec, times, forces):
+    """Yield the Duhamel terms (u, u_t) at t_0, t_1, ... as physical arrays.
+
+    Equal to duhamel_apply(times, forces, k, derivative) for every k, but in
+    one pass.  The addition theorems
+    sin((t_k - t')D) = sin(t_k D) cos(t'D) - cos(t_k D) sin(t'D) and
+    cos((t_k - t')D) = cos(t_k D) cos(t'D) + sin(t_k D) sin(t'D)
+    turn both trapezoid sums into running sums of cos(t_j D) F_j-hat and
+    sin(t_j D) F_j-hat; the xi = 0 mode, where D^{-1} sin(tD) = t, runs on
+    sums of F_j-hat and t_j F_j-hat.  forces may be lazy: force k is read
+    just before slice k is yielded, each force is transformed once, and only
+    O(nx^2) state is kept.  Expects uniform slice times from 0.
+    """
+    k_mag = grid.xi_magnitude()
+    zero = k_mag == 0
+    inv_mag = np.divide(1.0, k_mag, out=np.zeros_like(k_mag), where=~zero)
+    for k, force in enumerate(forces):
+        t = times[k]
+        fhat = to_frequency(force).values
+        cos_t = np.cos(t * k_mag)
+        sin_t = np.sin(t * k_mag)
+        terms = (cos_t * fhat, sin_t * fhat, fhat[zero], t * fhat[zero])
+        if k == 0:
+            sums = [0.5 * term for term in terms]
+            yield np.zeros(grid.spatial_shape), np.zeros(grid.spatial_shape)
+            continue
+        # trapezoid over slices 0..k: the running sums plus half of slice k
+        c, s, m0, m1 = (acc + 0.5 * term for acc, term in zip(sums, terms))
+        h = t / k
+        u_hat = h * (sin_t * c - cos_t * s) * inv_mag
+        u_hat[zero] = h * (t * m0 - m1)
+        ut_hat = h * (cos_t * c + sin_t * s)
+        yield (to_physical(SpatialField(grid, u_hat, FREQUENCY)).values,
+               to_physical(SpatialField(grid, ut_hat, FREQUENCY)).values)
+        for acc, term in zip(sums, terms):
+            acc += term
+
+
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
@@ -296,15 +333,13 @@ def picard_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig):
     residuals = []
     converged = False
     for _ in range(config.picard_max):
-        forces = [nonlinearity_eval(u[j], u_t[j], kind, config.dealias)
-                  for j in range(len(times))]
+        forces = (nonlinearity_eval(u[j], u_t[j], kind, config.dealias)
+                  for j in range(len(times)))
         new_u = []
         new_ut = []
-        for j in range(len(times)):
-            du = duhamel_apply(times, forces, j, derivative=False)
-            dut = duhamel_apply(times, forces, j, derivative=True)
-            new_u.append(free.u[j].with_values(free.u[j].values + du.values))
-            new_ut.append(free.u_t[j].with_values(free.u_t[j].values + dut.values))
+        for j, (du, dut) in enumerate(_duhamel_sweep(grid, times, forces)):
+            new_u.append(free.u[j].with_values(free.u[j].values + du))
+            new_ut.append(free.u_t[j].with_values(free.u_t[j].values + dut))
         scale = _traj_l2(grid, new_u) + _traj_l2(grid, new_ut)
         diff = _traj_l2(grid, new_u, u) + _traj_l2(grid, new_ut, u_t)
         resid = diff / max(scale, 1e-300)
@@ -409,7 +444,7 @@ def random_data(grid: GridSpec, s: float, r, seed: int,
     nyquist = grid.d_xi * (grid.nx // 2)
     if band_limit >= nyquist:
         raise ValueError(f"band_limit {band_limit} must lie below Nyquist {nyquist}")
-    p = _conjugate_float(r)
+    p = _conjugate(r)
     rng = np.random.default_rng(seed)
     exp_f = -(s + 2.0 / p + _ROUGHNESS_MARGIN)
     exp_g = -((s - 1.0) + 2.0 / p + _ROUGHNESS_MARGIN)
@@ -417,13 +452,6 @@ def random_data(grid: GridSpec, s: float, r, seed: int,
     ghat = _hermitian_random_spectrum(grid, exp_g, rng, band_limit)
     return CauchyData(SpatialField(grid, fhat, FREQUENCY),
                       SpatialField(grid, ghat, FREQUENCY))
-
-
-def _conjugate_float(r) -> float:
-    r = float(r)
-    if not (1 < r <= 2):
-        raise ValueError(f"r must lie in (1, 2], got {r}")
-    return r / (r - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,8 @@ import numpy as np
 
 from ._regression import fit_power_law
 from .norms import _as_fraction
-from .spectral_grid import (FREQUENCY, GridSpec, SpaceTimeField, is_dyadic,
-                            region_mask, to_physical)
-
-TWO_PI = 2.0 * math.pi
+from .spectral_grid import (FREQUENCY, TWO_PI, GridSpec, SpaceTimeField,
+                            is_dyadic, region_mask, to_physical)
 
 
 # ---------------------------------------------------------------------------

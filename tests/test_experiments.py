@@ -183,6 +183,13 @@ def test_worker_count_does_not_change_output(tmp_path):
     for name in ("volumes.csv", "volume_fits.csv"):
         assert ((tmp_path / "w1" / name).read_bytes()
                 == (tmp_path / "w3" / name).read_bytes())
+    checksums = []
+    for workers in (1, 3):
+        manifest = run_experiment(CONFIG_DIR / "solve.ini", workers=workers,
+                                  out_dir=tmp_path / f"solve{workers}")
+        checksums.append({f["name"]: f["sha256"] for f in manifest["files"]})
+    assert checksums[0] == checksums[1]
+    assert "residuals.csv" in checksums[0]
 
 
 def test_seed_changes_output(tmp_path):
@@ -244,6 +251,11 @@ def test_solve_experiment_smoke(tmp_path):
     assert float(rows[0]["abs_diff_l2"]) < 1e-12
     summary = list(csv.DictReader(open(tmp_path / "out" / "summary.csv")))[0]
     assert summary["converged"] == "true"
+    history = list(csv.DictReader(open(tmp_path / "out" / "residuals.csv")))
+    assert [int(r["iteration"]) for r in history] == list(
+        range(1, int(summary["iterations"]) + 1))
+    assert history[-1]["residual"] == summary["final_residual"]
+    assert "residuals.csv" in {f["name"] for f in manifest["files"]}
 
 
 def test_scaling_experiment_smoke(tmp_path):
@@ -304,6 +316,22 @@ def test_cli_rejects_kind_mismatch(tmp_path, capsys):
     rc = cli_main(["solve", "--config", str(CONFIG_DIR / "ledger.ini"),
                    "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("key, raw", [("dealias", "maybe"),
+                                      ("n_steps", "64.5"),
+                                      ("picard_max", "ten")])
+def test_cli_rejects_mistyped_solve_param(tmp_path, capsys, key, raw):
+    text = (CONFIG_DIR / "solve.ini").read_text(encoding="utf-8")
+    lines = [f"{key} = {raw}" if line.startswith(f"{key} =") else line
+             for line in text.splitlines()]
+    path = write_config(tmp_path, "\n".join(lines) + "\n")
+    rc = cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert (record["section"], record["key"]) == ("params", key)
+    assert raw in record["message"]
 
 
 def test_cli_seed_override(tmp_path):

@@ -8,7 +8,8 @@ from conewave import (PHYSICAL, CauchyData, GridSpec, Nonlinearity,
                       existence_probe, free_solution, halfwave_multipliers,
                       nonlinearity_eval, picard_solve, random_data, rk4_solve,
                       wave_admissible)
-from conewave.nlw_solver import free_trajectory, strichartz_ratio
+from conewave import spectral_grid
+from conewave.nlw_solver import _duhamel_sweep, free_trajectory, strichartz_ratio
 from conewave.norms import fl_norm, spatial_l2
 from conewave.spectral_grid import to_physical
 
@@ -212,6 +213,44 @@ def test_duhamel_constant_mode_closed_form_and_order():
         errors.append(np.abs(out.values - expected).max())
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.2)
     assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.2)
+
+
+@pytest.mark.parametrize("n_steps", [7, 24])
+def test_duhamel_sweep_matches_single_slice_reference(n_steps):
+    # time-varying random forces with a nonzero, time-dependent mean, so the
+    # xi = 0 branch is exercised alongside the addition-theorem sums
+    grid = make_grid(nx=16)
+    times = 0.7 * np.arange(n_steps + 1) / n_steps
+    rng = np.random.default_rng(n_steps)
+    forces = [SpatialField(grid, rng.standard_normal(grid.spatial_shape)
+                           + 1.0 + 2.0 * t * math.cos(3.0 * t), PHYSICAL)
+              for t in times]
+    slices = list(_duhamel_sweep(grid, times, forces))
+    assert len(slices) == n_steps + 1
+    for k, swept in enumerate(slices):
+        for derivative, got in zip((False, True), swept):
+            want = duhamel_apply(times, forces, k, derivative=derivative).values
+            err = np.abs(got - want).max()
+            assert err <= 1e-13 * np.abs(want).max()
+
+
+def test_picard_transform_count_linear_in_steps(monkeypatch):
+    calls = []
+    original = spectral_grid.transform
+
+    def counting(fld, direction):
+        calls.append(direction)
+        return original(fld, direction)
+
+    monkeypatch.setattr(spectral_grid, "transform", counting)
+    data = mode_data(make_grid(), amplitude=0.1)
+    counts = []
+    for n_steps in (16, 32):
+        calls.clear()
+        cfg = SolverConfig(T=0.2, n_steps=n_steps, picard_max=1)
+        picard_solve(data, Nonlinearity("spatial_grad_square"), cfg)
+        counts.append(len(calls))
+    assert counts[1] / counts[0] <= 2.2
 
 
 # ---------------------------------------------------------------------------
