@@ -392,8 +392,39 @@ def _volume_axis(case, axis, values, samples, seed, base):
     return {"series": series, "fit": fitrec}
 
 
+def _parse_sweeps(cfg: ExperimentConfig, names: dict, required=False):
+    """(sweep name, axis, axis values, base point) per [sweep.<name>] section.
+
+    names maps config keys to axis names.  Any other key is an error, and
+    with required so is a missing one; every list must be nonempty, exactly
+    one axis may take several values, and base holds the others' values.
+    """
+    sweeps = [(name[len("sweep."):], sec)
+              for name, sec in sorted(cfg.sections.items())
+              if name.startswith("sweep.")]
+    if not sweeps:
+        raise ConfigError("no [sweep.<name>] sections given")
+    parsed = []
+    for sweep_name, sec in sweeps:
+        section = f"sweep.{sweep_name}"
+        for key in sec:
+            if key not in names:
+                raise ConfigError(f"unknown parameter {key!r}",
+                                  section=section, key=key)
+        point = {axis: get_list(sec, key, required=True, section_name=section)
+                 for key, axis in names.items() if required or key in sec}
+        varying = [k for k, v in point.items() if len(v) > 1]
+        if len(varying) != 1:
+            raise ConfigError("exactly one axis may vary per sweep", section=section)
+        axis = varying[0]
+        parsed.append((sweep_name, axis, point[axis],
+                       {k: v[0] for k, v in point.items() if k != axis}))
+    return parsed
+
+
 _VOLUME_AXIS_NAMES = {"n0": "N0", "n1": "N1", "l1": "L1", "l2": "L2",
                       "gamma": "gamma"}
+_CONSTANT_AXIS_NAMES = {"n0": "N0", "n1": "N1", "n2": "N2", "l1": "L1", "l2": "L2"}
 
 
 def _run_volumes(cfg: ExperimentConfig, workers: int, out: Path):
@@ -403,31 +434,10 @@ def _run_volumes(cfg: ExperimentConfig, workers: int, out: Path):
         raise ConfigError(f"case must be one of {VOLUME_CASES}, got {case!r}",
                           section="params", key="case")
     samples = int(get_value(sec, "samples", 10 ** 6, section_name="params"))
-    sweeps = {name[len("sweep."):]: s for name, s in cfg.sections.items()
-              if name.startswith("sweep.")}
-    if not sweeps:
-        raise ConfigError("no [sweep.<name>] sections given")
-    tasks = []
-    for sweep_name, ssec in sorted(sweeps.items()):
-        point = {}
-        for key in ssec:
-            if key not in _VOLUME_AXIS_NAMES:
-                raise ConfigError(f"unknown parameter {key!r}",
-                                  section=f"sweep.{sweep_name}", key=key)
-            vals = [_parse_scalar(tok) for tok in ssec[key].split()]
-            if not vals:
-                raise ConfigError("sweep list must be nonempty",
-                                  section=f"sweep.{sweep_name}", key=key)
-            point[_VOLUME_AXIS_NAMES[key]] = vals
-        varying = [k for k, v in point.items() if len(v) > 1]
-        if len(varying) != 1:
-            raise ConfigError("exactly one axis may take multiple values",
-                              section=f"sweep.{sweep_name}")
-        axis = varying[0]
-        base = {k: v[0] for k, v in point.items() if k != axis}
-        tasks.append(dict(case=case, axis=axis, values=point[axis],
-                          samples=samples, seed=cfg.seed + 1000 * len(tasks),
-                          base=base))
+    tasks = [dict(case=case, axis=axis, values=values, samples=samples,
+                  seed=cfg.seed + 1000 * i, base=base)
+             for i, (_, axis, values, base)
+             in enumerate(_parse_sweeps(cfg, _VOLUME_AXIS_NAMES))]
     results, errors = run_tasks("volume_axis", tasks, workers)
     series, fits = [], []
     for res in results:
@@ -488,27 +498,11 @@ def _run_constants(cfg: ExperimentConfig, workers: int, out: Path):
                         section_name="regions")
     alt_signs = _parse_signs(alt_raw) if alt_raw else None
 
-    sweeps = {name[len("sweep."):]: sec for name, sec in cfg.sections.items()
-              if name.startswith("sweep.")}
-    if not sweeps:
-        raise ConfigError("no [sweep.<name>] sections given")
     tasks = []
-    for sweep_name, sec in sorted(sweeps.items()):
-        axes = {}
-        for key in ("N0", "N1", "N2", "L1", "L2"):
-            vals = get_list(sec, key.lower(), required=True,
-                            section_name=f"sweep.{sweep_name}")
-            axes[key] = vals
-        varying = [k for k, v in axes.items() if len(v) > 1]
-        if len(varying) != 1:
-            raise ConfigError("exactly one axis may vary per sweep",
-                              section=f"sweep.{sweep_name}")
-        axis = varying[0]
-        if not axes[axis]:
-            raise ConfigError("sweep list must be nonempty",
-                              section=f"sweep.{sweep_name}", key=axis.lower())
-        for i, val in enumerate(axes[axis]):
-            point = {k: (val if k == axis else axes[k][0]) for k in axes}
+    for sweep_name, axis, values, base in _parse_sweeps(
+            cfg, _CONSTANT_AXIS_NAMES, required=True):
+        for val in values:
+            point = dict(base, **{axis: val})
             for sgn_label, sgn in (("base", base_signs),) + (
                     (("alt", alt_signs),) if alt_signs else ()):
                 tasks.append(dict(nx=nx, nt=nt, r=r, restarts=restarts,

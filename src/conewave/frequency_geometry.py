@@ -17,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .spectral_grid import TWO_PI, is_dyadic
+from .spectral_grid import TWO_PI, require_dyadic
 from ._regression import fit_power_law
 
 
@@ -29,12 +29,6 @@ def _check_sign(sign):
     if sign not in (+1, -1):
         raise ValueError(f"cone sign must be +1 or -1, got {sign!r}")
     return sign
-
-
-def _check_dyadic(name, value):
-    if not is_dyadic(value):
-        raise ValueError(f"{name} must be dyadic (2**j, j >= 0), got {value!r}")
-    return int(value)
 
 
 def _unit(omega):
@@ -65,8 +59,8 @@ _FULL_AXIS = (-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
-class BallCone(Region):
-    """K(sign, N, L): |xi| <= N, sign*tau >= 0, |tau - sign*|xi|| <= L."""
+class _Cone(Region):
+    """Sign, N and L of a cone primitive, and its thickened sheet."""
 
     sign: int
     N: int
@@ -74,13 +68,22 @@ class BallCone(Region):
 
     def __post_init__(self):
         _check_sign(self.sign)
-        _check_dyadic("N", self.N)
-        _check_dyadic("L", self.L)
+        require_dyadic("N", self.N)
+        require_dyadic("L", self.L)
+
+    def _sheet(self, tau, r):
+        """sign*tau >= 0 and |tau - sign*r| <= L, where r = |xi|."""
+        half = tau >= 0 if self.sign > 0 else tau <= 0
+        return half & (np.abs(tau - self.sign * r) <= self.L)
+
+
+@dataclass(frozen=True)
+class BallCone(_Cone):
+    """K(sign, N, L): |xi| <= N, sign*tau >= 0, |tau - sign*|xi|| <= L."""
 
     def contains(self, tau, xi1, xi2):
         r = np.sqrt(xi1 ** 2 + xi2 ** 2)
-        half = tau >= 0 if self.sign > 0 else tau <= 0
-        return (r <= self.N) & half & (np.abs(tau - self.sign * r) <= self.L)
+        return (r <= self.N) & self._sheet(tau, r)
 
     def bounding_box(self):
         lo, hi = 0.0, self.N + self.L
@@ -89,23 +92,14 @@ class BallCone(Region):
 
 
 @dataclass(frozen=True)
-class AnnularCone(Region):
+class AnnularCone(_Cone):
     """K-annular: |xi| in [N, 2N), sign*tau >= 0, |tau - sign*|xi|| <= L."""
 
-    sign: int
-    N: int
-    L: int
-
-    def __post_init__(self):
-        _check_sign(self.sign)
-        _check_dyadic("N", self.N)
-        _check_dyadic("L", self.L)
-
     def contains(self, tau, xi1, xi2):
-        r = np.sqrt(xi1 ** 2 + xi2 ** 2)
-        half = tau >= 0 if self.sign > 0 else tau <= 0
-        return ((r >= self.N) & (r < 2 * self.N) & half
-                & (np.abs(tau - self.sign * r) <= self.L))
+        return self._annulus(tau, np.sqrt(xi1 ** 2 + xi2 ** 2))
+
+    def _annulus(self, tau, r):
+        return (r >= self.N) & (r < 2 * self.N) & self._sheet(tau, r)
 
     def bounding_box(self):
         lo = max(0.0, self.N - self.L)
@@ -116,44 +110,33 @@ class AnnularCone(Region):
 
 
 @dataclass(frozen=True)
-class SectorCone(Region):
+class SectorCone(AnnularCone):
     """Annular cone intersected with the sector theta(sign*xi, omega) <= gamma.
 
     The sign is applied to xi, matching the sector convention used for the
     lower cone sheet.
     """
 
-    sign: int
-    N: int
-    L: int
     gamma: float
     omega: Tuple[float, float]
 
     def __post_init__(self):
-        _check_sign(self.sign)
-        _check_dyadic("N", self.N)
-        _check_dyadic("L", self.L)
+        super().__post_init__()
         if not (0.0 < self.gamma <= math.pi):
             raise ValueError(f"gamma must lie in (0, pi], got {self.gamma}")
         object.__setattr__(self, "omega", _unit(self.omega))
 
     def contains(self, tau, xi1, xi2):
         r = np.sqrt(xi1 ** 2 + xi2 ** 2)
-        half = tau >= 0 if self.sign > 0 else tau <= 0
-        base = ((r >= self.N) & (r < 2 * self.N) & half
-                & (np.abs(tau - self.sign * r) <= self.L))
         wx, wy = self.omega
         dot = (self.sign * (xi1 * wx + xi2 * wy))
         with np.errstate(invalid="ignore", divide="ignore"):
             cosang = np.where(r > 0, dot / np.where(r > 0, r, 1.0), 1.0)
-        return base & (cosang >= math.cos(self.gamma))
+        return self._annulus(tau, r) & (cosang >= math.cos(self.gamma))
 
     def bounding_box(self):
-        lo = max(0.0, self.N - self.L)
-        hi = 2 * self.N + self.L
-        t = (lo, hi) if self.sign > 0 else (-hi, -lo)
         x_box, y_box = _sector_xy_box(self.sign, self.N, self.gamma, self.omega)
-        return (t, x_box, y_box)
+        return (super().bounding_box()[0], x_box, y_box)
 
 
 def _sector_xy_box(sign, N, gamma, omega):
@@ -178,7 +161,7 @@ class Band(Region):
     N: int
 
     def __post_init__(self):
-        _check_dyadic("N", self.N)
+        require_dyadic("N", self.N)
 
     def contains(self, tau, xi1, xi2):
         w = np.sqrt(1.0 + xi1 ** 2 + xi2 ** 2)
@@ -196,7 +179,7 @@ class Modulation(Region):
     L: int
 
     def __post_init__(self):
-        _check_dyadic("L", self.L)
+        require_dyadic("L", self.L)
 
     def contains(self, tau, xi1, xi2):
         r = np.sqrt(xi1 ** 2 + xi2 ** 2)
@@ -471,7 +454,7 @@ _BASE_PARAMS = {
     LHH_SECTOR_S2: {"N0": 16, "N1": 512, "L1": 2, "L2": 4},
 }
 
-_HUGE_L = 1 << 40   # dyadic; makes the modulation constraint vacuous
+_VACUOUS_L = 1 << 40    # dyadic; modulation constraint vacuous on any lattice
 
 
 def _rotate(omega, theta):
@@ -532,7 +515,7 @@ def volume_case_config(case: str, **params):
         tau2 = float(N1)
         xi2 = (-1.5 * N1, 0.0)
         X2 = (tau2, xi2[0], xi2[1])
-        slot0 = SectorCone(+1, N0, _HUGE_L, gamma, omega0)
+        slot0 = SectorCone(+1, N0, _VACUOUS_L, gamma, omega0)
         slot1 = SectorCone(+1, N1, L1, gamma, omega1)
         region = Intersect((slot0, Translate(slot1, X2)))
         # tau window: tau = tau2 + |xi0 - xi2| + O(L1) with |xi0| <= 2 N0
@@ -553,7 +536,7 @@ def volume_case_config(case: str, **params):
     xi2 = (center0[0] - 1.5 * N1 * omega1[0], center0[1] - 1.5 * N1 * omega1[1])
     tau2 = float(np.hypot(*xi2))
     X2 = (tau2, xi2[0], xi2[1])
-    slot0 = SectorCone(+1, N0, _HUGE_L, gam, omega0)
+    slot0 = SectorCone(+1, N0, _VACUOUS_L, gam, omega0)
     slot1 = SectorCone(+1, N1, L1, gam, omega1)
     region = Intersect((slot0, Translate(slot1, X2)))
     dist_lo = 1.5 * N1 - 2 * N0

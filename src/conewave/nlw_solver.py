@@ -5,7 +5,8 @@ is solved two independent ways: a fixed-point iteration on the integral
 solution map (half-wave propagator plus a trapezoid-quadrature inhomogeneous
 term), and a classical RK4 method-of-lines oracle on the first-order system.
 Spatial derivatives are spectral throughout; quadratic products are
-de-aliased with the 2/3 rule by default.
+de-aliased with the 2/3 rule by default.  The solvers carry every slice as a
+numpy spectrum and wrap SpatialFields only at the public boundary.
 """
 
 from __future__ import annotations
@@ -130,6 +131,21 @@ class PicardReport:
 # half-wave propagator
 # ---------------------------------------------------------------------------
 
+def _spectrum(grid: GridSpec, values) -> np.ndarray:
+    return to_frequency(SpatialField(grid, values, PHYSICAL)).values
+
+
+def _physical(grid: GridSpec, hat) -> SpatialField:
+    return to_physical(SpatialField(grid, hat, FREQUENCY))
+
+
+def _gradient(grid: GridSpec, hat):
+    """(d/dx1 u, d/dx2 u) as physical arrays, from the spectrum of u."""
+    x1, x2 = grid.spatial_frequency_mesh()
+    return (_physical(grid, 1j * x1 * hat).values,
+            _physical(grid, 1j * x2 * hat).values)
+
+
 def halfwave_multipliers(grid: GridSpec, t: float):
     """Fourier multipliers cos(t |xi|) and sin(t |xi|)/|xi| (value t at xi = 0)."""
     k = grid.xi_magnitude()
@@ -141,27 +157,30 @@ def halfwave_multipliers(grid: GridSpec, t: float):
     return cos_m, sin_over
 
 
-def free_solution(data: CauchyData, t: float):
-    """Homogeneous evolution: (cos(tD) f + D^{-1} sin(tD) g, d/dt of the same)."""
+def _free_spectra(data: CauchyData, times):
+    """Yield the free evolution's spectra (u-hat, u_t-hat) at each time, with
+    u_t-hat = cos(tD) g-hat - |xi|^2 D^{-1} sin(tD) f-hat; the data are
+    transformed once."""
     grid = data.grid
     fhat = to_frequency(data.f).values
     ghat = to_frequency(data.g).values
-    cos_m, sin_over = halfwave_multipliers(grid, t)
-    k = grid.xi_magnitude()
-    u_hat = cos_m * fhat + sin_over * ghat
-    ut_hat = -k * np.sin(t * k) * fhat + cos_m * ghat
-    u = to_physical(SpatialField(grid, u_hat, FREQUENCY))
-    u_t = to_physical(SpatialField(grid, ut_hat, FREQUENCY))
-    return u, u_t
+    xi_sq = grid.xi_magnitude() ** 2
+    for t in times:
+        cos_m, sin_over = halfwave_multipliers(grid, float(t))
+        yield cos_m * fhat + sin_over * ghat, cos_m * ghat - xi_sq * sin_over * fhat
+
+
+def free_solution(data: CauchyData, t: float):
+    """Homogeneous evolution: (cos(tD) f + D^{-1} sin(tD) g, d/dt of the same)."""
+    return tuple(_physical(data.grid, hat) for hat in next(_free_spectra(data, (t,))))
 
 
 def free_trajectory(data: CauchyData, T: float, n_steps: int) -> Trajectory:
+    grid = data.grid
     times = T * np.arange(n_steps + 1) / n_steps
-    slices = [free_solution(data, t) for t in times]
-    return Trajectory(grid=data.grid, times=times,
-                      u=tuple(s[0] for s in slices),
-                      u_t=tuple(s[1] for s in slices),
-                      provenance="free")
+    u, u_t = zip(*[(_physical(grid, u_hat), _physical(grid, ut_hat))
+                   for u_hat, ut_hat in _free_spectra(data, times)])
+    return Trajectory(grid=grid, times=times, u=u, u_t=u_t, provenance="free")
 
 
 # ---------------------------------------------------------------------------
@@ -175,27 +194,30 @@ def _dealias_mask(grid: GridSpec) -> np.ndarray:
     return ok[:, None] & ok[None, :]
 
 
-def _truncate(fld: SpatialField, mask) -> SpatialField:
-    hat = to_frequency(fld)
-    return to_physical(hat.with_values(np.where(mask, hat.values, 0.0)))
-
-
-def spectral_gradient(fld: SpatialField):
-    """(d/dx1 u, d/dx2 u) by spectral differentiation, physical representation."""
-    grid = fld.grid
-    hat = to_frequency(fld).values
-    x1, x2 = grid.spatial_frequency_mesh()
-    g1 = to_physical(SpatialField(grid, 1j * x1 * hat, FREQUENCY))
-    g2 = to_physical(SpatialField(grid, 1j * x2 * hat, FREQUENCY))
-    return g1, g2
-
-
-def spectral_derivative(fld: SpatialField, axis: int) -> SpatialField:
-    grid = fld.grid
-    hat = to_frequency(fld).values
-    x1, x2 = grid.spatial_frequency_mesh()
-    mult = x1 if axis == 0 else x2
-    return to_physical(SpatialField(grid, 1j * mult * hat, FREQUENCY))
+def _forcing_hat(grid: GridSpec, u_hat, ut_hat, kind: Nonlinearity, mask):
+    """Spectrum of the quadratic forcing from the spectra of u and u_t; mask
+    (the 2/3 rule, or None) truncates both inputs and the product."""
+    if kind.kind == NO_FORCING:
+        return np.zeros(grid.spatial_shape, dtype=np.complex128)
+    if mask is not None:
+        u_hat = u_hat * mask
+        ut_hat = ut_hat * mask
+    if kind.kind == DERIV_OF_SQUARE:
+        u = _physical(grid, u_hat).values
+        if kind.direction == "t":
+            out_hat = _spectrum(grid, 2.0 * u * _physical(grid, ut_hat).values)
+        else:
+            x1, x2 = grid.spatial_frequency_mesh()
+            mult = x1 if kind.direction == "x1" else x2
+            out_hat = 1j * mult * _spectrum(grid, u ** 2)
+    else:
+        g1, g2 = _gradient(grid, u_hat)
+        if kind.kind == SPATIAL_GRAD_SQUARE:
+            out = g1 ** 2 + g2 ** 2
+        else:
+            out = _physical(grid, ut_hat).values ** 2 + g1 ** 2 + g2 ** 2
+        out_hat = _spectrum(grid, out)
+    return out_hat if mask is None else out_hat * mask
 
 
 def nonlinearity_eval(u: SpatialField, u_t: SpatialField, kind: Nonlinearity,
@@ -204,29 +226,9 @@ def nonlinearity_eval(u: SpatialField, u_t: SpatialField, kind: Nonlinearity,
     if u.rep != PHYSICAL or u_t.rep != PHYSICAL:
         raise ValueError("nonlinearity_eval expects physical-representation fields")
     grid = u.grid
-    if kind.kind == NO_FORCING:
-        return SpatialField(grid, np.zeros(grid.spatial_shape), PHYSICAL)
     mask = _dealias_mask(grid) if dealias else None
-    uu = _truncate(u, mask) if dealias else u
-    uut = _truncate(u_t, mask) if dealias else u_t
-    if kind.kind == SPATIAL_GRAD_SQUARE:
-        g1, g2 = spectral_gradient(uu)
-        out = g1.values ** 2 + g2.values ** 2
-    elif kind.kind == FULL_GRAD_SQUARE:
-        g1, g2 = spectral_gradient(uu)
-        out = uut.values ** 2 + g1.values ** 2 + g2.values ** 2
-    else:
-        if kind.direction == "t":
-            out = 2.0 * uu.values * uut.values
-        else:
-            sq = SpatialField(grid, uu.values ** 2, PHYSICAL)
-            axis = 0 if kind.direction == "x1" else 1
-            return _maybe_truncate(spectral_derivative(sq, axis), mask)
-    return _maybe_truncate(SpatialField(grid, out, PHYSICAL), mask)
-
-
-def _maybe_truncate(fld, mask):
-    return _truncate(fld, mask) if mask is not None else fld
+    return _physical(grid, _forcing_hat(grid, to_frequency(u).values,
+                                        to_frequency(u_t).values, kind, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -266,25 +268,24 @@ def duhamel_apply(times, forces, k: int, derivative: bool = False) -> SpatialFie
     return to_physical(SpatialField(grid, acc, FREQUENCY))
 
 
-def _duhamel_sweep(grid: GridSpec, times, forces):
-    """Yield the Duhamel terms (u, u_t) at t_0, t_1, ... as physical arrays.
+def _duhamel_sweep(grid: GridSpec, times, force_hats):
+    """Yield the spectra of the Duhamel terms (u, u_t) at t_0, t_1, ...
 
     Equal to duhamel_apply(times, forces, k, derivative) for every k, but in
-    one pass.  The addition theorems
+    one pass over the force spectra.  The addition theorems
     sin((t_k - t')D) = sin(t_k D) cos(t'D) - cos(t_k D) sin(t'D) and
     cos((t_k - t')D) = cos(t_k D) cos(t'D) + sin(t_k D) sin(t'D)
     turn both trapezoid sums into running sums of cos(t_j D) F_j-hat and
     sin(t_j D) F_j-hat; the xi = 0 mode, where D^{-1} sin(tD) = t, runs on
-    sums of F_j-hat and t_j F_j-hat.  forces may be lazy: force k is read
-    just before slice k is yielded, each force is transformed once, and only
-    O(nx^2) state is kept.  Expects uniform slice times from 0.
+    sums of F_j-hat and t_j F_j-hat.  force_hats may be lazy: force k is
+    read just before slice k is yielded, and only O(nx^2) state is kept.
+    Expects uniform slice times from 0.
     """
     k_mag = grid.xi_magnitude()
     zero = k_mag == 0
     inv_mag = np.divide(1.0, k_mag, out=np.zeros_like(k_mag), where=~zero)
-    for k, force in enumerate(forces):
+    for k, fhat in enumerate(force_hats):
         t = times[k]
-        fhat = to_frequency(force).values
         cos_t = np.cos(t * k_mag)
         sin_t = np.sin(t * k_mag)
         terms = (cos_t * fhat, sin_t * fhat, fhat[zero], t * fhat[zero])
@@ -297,9 +298,7 @@ def _duhamel_sweep(grid: GridSpec, times, forces):
         h = t / k
         u_hat = h * (sin_t * c - cos_t * s) * inv_mag
         u_hat[zero] = h * (t * m0 - m1)
-        ut_hat = h * (cos_t * c + sin_t * s)
-        yield (to_physical(SpatialField(grid, u_hat, FREQUENCY)).values,
-               to_physical(SpatialField(grid, ut_hat, FREQUENCY)).values)
+        yield u_hat, h * (cos_t * c + sin_t * s)
         for acc, term in zip(sums, terms):
             acc += term
 
@@ -309,14 +308,15 @@ def _duhamel_sweep(grid: GridSpec, times, forces):
 # ---------------------------------------------------------------------------
 
 def _traj_l2(grid, slices_a, slices_b=None):
+    """Quadrature L2 norm over all slices, from their spectra (Plancherel)."""
     total = 0.0
     # overflow to inf is fine here: a diverging iterate shows up as an
     # infinite residual and stops the iteration
     with np.errstate(over="ignore"):
         for j, a in enumerate(slices_a):
-            d = a.values if slices_b is None else a.values - slices_b[j].values
+            d = a if slices_b is None else a - slices_b[j]
             total += float(np.sum(np.abs(d) ** 2))
-    return math.sqrt(total * grid.spatial_phys_cell)
+    return math.sqrt(total * grid.spatial_freq_cell)
 
 
 def picard_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig):
@@ -327,19 +327,19 @@ def picard_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig):
     """
     grid = data.grid
     times = config.times
-    free = free_trajectory(data, config.T, config.n_steps)
-    u = list(free.u)
-    u_t = list(free.u_t)
+    mask = _dealias_mask(grid) if config.dealias else None
+    free_u, free_ut = zip(*_free_spectra(data, times))
+    u, u_t = free_u, free_ut
     residuals = []
     converged = False
     for _ in range(config.picard_max):
-        forces = (nonlinearity_eval(u[j], u_t[j], kind, config.dealias)
-                  for j in range(len(times)))
+        forces = (_forcing_hat(grid, a, b, kind, mask) for a, b in zip(u, u_t))
         new_u = []
         new_ut = []
-        for j, (du, dut) in enumerate(_duhamel_sweep(grid, times, forces)):
-            new_u.append(free.u[j].with_values(free.u[j].values + du))
-            new_ut.append(free.u_t[j].with_values(free.u_t[j].values + dut))
+        for fu, fut, (du, dut) in zip(free_u, free_ut,
+                                      _duhamel_sweep(grid, times, forces)):
+            new_u.append(fu + du)
+            new_ut.append(fut + dut)
         scale = _traj_l2(grid, new_u) + _traj_l2(grid, new_ut)
         diff = _traj_l2(grid, new_u, u) + _traj_l2(grid, new_ut, u_t)
         resid = diff / max(scale, 1e-300)
@@ -350,7 +350,9 @@ def picard_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig):
             break
         if not math.isfinite(resid):
             break
-    traj = Trajectory(grid=grid, times=times, u=tuple(u), u_t=tuple(u_t),
+    traj = Trajectory(grid=grid, times=times,
+                      u=tuple(_physical(grid, h) for h in u),
+                      u_t=tuple(_physical(grid, h) for h in u_t),
                       provenance="picard", meta={"iterations": len(residuals)})
     return traj, PicardReport(residuals=tuple(residuals), converged=converged)
 
@@ -364,20 +366,17 @@ def rk4_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig) -> Tra
     grid = data.grid
     x1, x2 = grid.spatial_frequency_mesh()
     lap = -(x1 ** 2 + x2 ** 2)
+    mask = _dealias_mask(grid) if config.dealias else None
 
     def rhs(u_hat, v_hat):
-        u_p = to_physical(SpatialField(grid, u_hat, FREQUENCY))
-        v_p = to_physical(SpatialField(grid, v_hat, FREQUENCY))
-        F = nonlinearity_eval(u_p, v_p, kind, config.dealias)
-        f_hat = to_frequency(F).values
-        return v_hat, lap * u_hat + f_hat
+        return v_hat, lap * u_hat + _forcing_hat(grid, u_hat, v_hat, kind, mask)
 
     dt = config.T / config.n_steps
-    u_hat = to_frequency(data.f).values.copy()
-    v_hat = to_frequency(data.g).values.copy()
+    u_hat = to_frequency(data.f).values
+    v_hat = to_frequency(data.g).values
     times = config.times
-    u_slices = [to_physical(SpatialField(grid, u_hat, FREQUENCY))]
-    ut_slices = [to_physical(SpatialField(grid, v_hat, FREQUENCY))]
+    u_slices = [_physical(grid, u_hat)]
+    ut_slices = [_physical(grid, v_hat)]
     init_scale = max(float(np.abs(u_hat).max()), float(np.abs(v_hat).max()), 1e-30)
     unstable = False
     for _ in range(config.n_steps):
@@ -390,8 +389,8 @@ def rk4_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig) -> Tra
         top = max(float(np.abs(u_hat).max()), float(np.abs(v_hat).max()))
         if not math.isfinite(top) or top > 1e12 * init_scale:
             unstable = True
-        u_slices.append(to_physical(SpatialField(grid, u_hat, FREQUENCY)))
-        ut_slices.append(to_physical(SpatialField(grid, v_hat, FREQUENCY)))
+        u_slices.append(_physical(grid, u_hat))
+        ut_slices.append(_physical(grid, v_hat))
     return Trajectory(grid=grid, times=times, u=tuple(u_slices),
                       u_t=tuple(ut_slices), provenance="rk4",
                       meta={"unstable": unstable})
@@ -401,8 +400,8 @@ def energy(u: SpatialField, u_t: SpatialField) -> float:
     """Free-evolution conserved quantity (1/2) sum (u_t^2 + |grad u|^2) dx^2."""
     if u.rep != PHYSICAL or u_t.rep != PHYSICAL:
         raise ValueError("energy expects physical-representation fields")
-    g1, g2 = spectral_gradient(u)
-    dens = np.abs(u_t.values) ** 2 + np.abs(g1.values) ** 2 + np.abs(g2.values) ** 2
+    g1, g2 = _gradient(u.grid, to_frequency(u).values)
+    dens = np.abs(u_t.values) ** 2 + np.abs(g1) ** 2 + np.abs(g2) ** 2
     return 0.5 * float(np.sum(dens)) * u.grid.spatial_phys_cell
 
 
@@ -526,12 +525,11 @@ def wave_admissible(p, q, n: int = 2) -> bool:
 def gradient_magnitude_trajectory(data: CauchyData) -> SpaceTimeField:
     """|grad u|(t, x) of the free solution on the grid's periodic time lattice."""
     grid = data.grid
-    slices = []
-    for t in grid.t_axis:
-        u, _ = free_solution(data, float(t))
-        g1, g2 = spectral_gradient(u)
-        slices.append(np.sqrt(np.abs(g1.values) ** 2 + np.abs(g2.values) ** 2))
-    return SpaceTimeField(grid, np.stack(slices), PHYSICAL)
+    out = np.empty(grid.shape)
+    for j, (u_hat, _) in enumerate(_free_spectra(data, grid.t_axis)):
+        g1, g2 = _gradient(grid, u_hat)
+        out[j] = np.sqrt(np.abs(g1) ** 2 + np.abs(g2) ** 2)
+    return SpaceTimeField(grid, out, PHYSICAL)
 
 
 def strichartz_ratio(data: CauchyData, q_t: float, s: float = 1.75) -> float:

@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .spectral_grid import (PHYSICAL, GridSpec, SpaceTimeField, SpatialField,
-                            bracket_weight, to_frequency, to_physical)
+                            bracket_weight, require_dyadic, to_frequency,
+                            to_physical)
 
 
 def _as_fraction(x) -> Fraction:
@@ -210,8 +211,7 @@ def rescale_spatial(f: SpatialField, lam: int) -> SpatialField:
     f(lam*x) on it coincide with the samples of f on the base torus; only
     the grid metadata changes.
     """
-    if lam < 1 or lam & (lam - 1):
-        raise ValueError(f"scaling factor must be a dyadic integer, got {lam!r}")
+    require_dyadic("scaling factor", lam)
     phys = to_physical(f)
     g = f.grid
     g2 = GridSpec(nx=g.nx, nt=g.nt, spatial_period=g.spatial_period / lam,

@@ -30,11 +30,12 @@ def is_dyadic(value) -> bool:
     return v & (v - 1) == 0
 
 
-def _check_power_of_two(name, value):
-    v = int(value)
-    if v != value or v < 8 or v & (v - 1) != 0:
-        raise ValueError(f"{name} must be a power of two >= 8, got {value!r}")
-    return v
+def require_dyadic(name, value, minimum=1):
+    """value as an int if it is a power of two >= minimum, else ValueError."""
+    if not (is_dyadic(value) and value >= minimum):
+        raise ValueError(
+            f"{name} must be a dyadic value 2**j >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class GridSpec:
     time_period: float
 
     def __post_init__(self):
-        _check_power_of_two("nx", self.nx)
-        _check_power_of_two("nt", self.nt)
+        require_dyadic("nx", self.nx, minimum=8)
+        require_dyadic("nt", self.nt, minimum=8)
         if not (self.spatial_period > 0 and self.time_period > 0):
             raise ValueError("grid periods must be strictly positive")
 
@@ -249,13 +250,6 @@ def project(fld: SpaceTimeField, region) -> SpaceTimeField:
 # dyadic restrictions
 # ---------------------------------------------------------------------------
 
-def _require_dyadic(name, value):
-    if not is_dyadic(value):
-        raise ValueError(
-            f"{name} must be a dyadic value 2**j with j >= 0, got {value!r}")
-    return int(value)
-
-
 def bracket_weight(x):
     """Japanese bracket sqrt(1 + x^2), elementwise."""
     return np.sqrt(1.0 + np.asarray(x) ** 2)
@@ -271,13 +265,13 @@ def dyadic_restrict(fld: SpaceTimeField, N, L=None, sign=None) -> SpaceTimeField
     """
     if fld.rep != FREQUENCY:
         raise ValueError("dyadic_restrict expects a frequency-representation field")
-    N = _require_dyadic("N", N)
+    N = require_dyadic("N", N)
     tau, x1, x2 = fld.grid.frequency_mesh()
     xi_mag = np.sqrt(x1 ** 2 + x2 ** 2)
     w = bracket_weight(xi_mag)
     mask = (w >= N) & (w < 2 * N)
     if L is not None:
-        L = _require_dyadic("L", L)
+        L = require_dyadic("L", L)
         mod = bracket_weight(np.abs(tau) - xi_mag)
         mask = mask & (mod >= L) & (mod < 2 * L)
     if sign is not None:

@@ -18,9 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from ._regression import fit_power_law
+from .frequency_geometry import _VACUOUS_L, BallCone, Reflect
 from .norms import _as_fraction
 from .spectral_grid import (FREQUENCY, TWO_PI, GridSpec, SpaceTimeField,
-                            is_dyadic, region_mask, to_physical)
+                            region_mask, require_dyadic, to_physical)
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +130,8 @@ def predicted_constant(form: EstimateForm, N, L, r) -> float:
     """
     N0, N1, N2 = N
     L1, L2 = L
-    for name, v in (("N0", N0), ("N1", N1), ("N2", N2), ("L1", L1), ("L2", L2)):
-        if not is_dyadic(v):
-            raise ValueError(f"{name} must be dyadic, got {v!r}")
+    for name, v in zip(("N0", "N1", "N2", "L1", "L2"), (N0, N1, N2, L1, L2)):
+        require_dyadic(name, v)
     bases = {
         "N_min_012": min(N0, N1, N2),
         "N_min_12": min(N1, N2),
@@ -147,9 +147,6 @@ def predicted_constant(form: EstimateForm, N, L, r) -> float:
 # ---------------------------------------------------------------------------
 # best-constant measurement
 # ---------------------------------------------------------------------------
-
-_VACUOUS_L = 1 << 40    # dyadic; modulation constraint vacuous on any lattice
-
 
 @dataclass(frozen=True)
 class BallConeRegions:
@@ -170,17 +167,14 @@ class BallConeRegions:
 
     @property
     def A0(self):
-        from .frequency_geometry import BallCone, Reflect
         return Reflect(BallCone(self.signs[0], self.N[0], _VACUOUS_L))
 
     @property
     def A1(self):
-        from .frequency_geometry import BallCone
         return BallCone(self.signs[1], self.N[1], self.L[0])
 
     @property
     def A2(self):
-        from .frequency_geometry import BallCone
         return BallCone(self.signs[2], self.N[2], self.L[1])
 
 

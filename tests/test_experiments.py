@@ -334,6 +334,32 @@ def test_cli_rejects_mistyped_solve_param(tmp_path, capsys, key, raw):
     assert raw in record["message"]
 
 
+def test_cli_rejects_misspelled_constants_sweep_key(tmp_path, capsys):
+    path = write_config(tmp_path, """
+[experiment]
+kind = constants
+seed = 2
+
+[grid]
+nx = 8
+nt = 16
+
+[sweep.l1]
+n0 = 8
+n1 = 2
+n2 = 4
+l1 = 1 2
+l2 = 2
+l3 = 99
+""")
+    rc = cli_main(["constants", "--config", str(path), "--workers", "1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert (record["section"], record["key"]) == ("sweep.l1", "l3")
+
+
 def test_cli_seed_override(tmp_path):
     cfg = _volumes_smoke_config(tmp_path)
     assert cli_main(["volumes", "--config", str(cfg), "--workers", "1",

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conewave import (PHYSICAL, CauchyData, GridSpec, Nonlinearity,
+from conewave import (FREQUENCY, PHYSICAL, CauchyData, GridSpec, Nonlinearity,
                       SolverConfig, SpatialField, duhamel_apply, energy,
                       existence_probe, free_solution, halfwave_multipliers,
                       nonlinearity_eval, picard_solve, random_data, rk4_solve,
                       wave_admissible)
 from conewave import spectral_grid
-from conewave.nlw_solver import _duhamel_sweep, free_trajectory, strichartz_ratio
+from conewave.nlw_solver import (_duhamel_sweep, free_trajectory,
+                                  gradient_magnitude_trajectory,
+                                  strichartz_ratio)
 from conewave.norms import fl_norm, spatial_l2
-from conewave.spectral_grid import to_physical
+from conewave.spectral_grid import to_frequency, to_physical
 
 
 def make_grid(nx=16, nt=8):
@@ -26,6 +28,27 @@ def mode_data(grid, k=(1, 0), amplitude=1.0, g_amplitude=0.0):
     f = SpatialField(grid, amplitude * np.cos(phase), PHYSICAL)
     g = SpatialField(grid, g_amplitude * np.cos(phase), PHYSICAL)
     return CauchyData(f, g)
+
+
+def np_derivative(values, axis):
+    """Spectral d/dx_axis on the 2*pi torus with raw np.fft."""
+    nx = values.shape[0]
+    k = nx * np.fft.fftfreq(nx)
+    mult = k[:, None] if axis == 0 else k[None, :]
+    return np.fft.ifft2(1j * mult * np.fft.fft2(values))
+
+
+@pytest.fixture
+def transform_calls(monkeypatch):
+    calls = []
+    original = spectral_grid.transform
+
+    def counting(fld, direction):
+        calls.append(direction)
+        return original(fld, direction)
+
+    monkeypatch.setattr(spectral_grid, "transform", counting)
+    return calls
 
 
 def rel_l2(a, b):
@@ -162,6 +185,35 @@ def test_deriv_of_square_vs_finite_difference():
     assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.25)
 
 
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("kind", [
+    Nonlinearity("spatial_grad_square"), Nonlinearity("full_grad_square"),
+    Nonlinearity("deriv_of_square", "t"), Nonlinearity("deriv_of_square", "x1"),
+    Nonlinearity("deriv_of_square", "x2")],
+    ids=["spatial_grad_square", "full_grad_square", "dt", "dx1", "dx2"])
+def test_nonlinearity_eval_matches_numpy_reference(kind, dealias):
+    grid = make_grid(nx=16)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(grid.spatial_shape)
+    ut = rng.standard_normal(grid.spatial_shape)
+    keep = np.abs(16 * np.fft.fftfreq(16)) <= 16 // 3
+    mask = keep[:, None] & keep[None, :]
+
+    def cut(values):
+        return np.fft.ifft2(np.fft.fft2(values) * mask) if dealias else values
+
+    uu, vv = cut(u), cut(ut)
+    grad_sq = np_derivative(uu, 0) ** 2 + np_derivative(uu, 1) ** 2
+    want = cut({"spatial_grad_square": grad_sq,
+                "full_grad_square": vv ** 2 + grad_sq,
+                "t": 2.0 * uu * vv,
+                "x1": np_derivative(uu ** 2, 0),
+                "x2": np_derivative(uu ** 2, 1)}[kind.direction or kind.kind])
+    got = nonlinearity_eval(SpatialField(grid, u, PHYSICAL),
+                            SpatialField(grid, ut, PHYSICAL), kind, dealias)
+    assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_dealias_removes_high_modes():
     grid = make_grid(nx=16)
     x = grid.x_axis
@@ -172,7 +224,6 @@ def test_dealias_removes_high_modes():
     out = nonlinearity_eval(u, z, Nonlinearity("spatial_grad_square"),
                             dealias=True)
     # the dealiased square keeps only |k| <= nx/3 content
-    from conewave.spectral_grid import to_frequency
     hat = to_frequency(out)
     idx = np.rint(16 * np.fft.fftfreq(16)).astype(int)
     bad = (np.abs(idx[:, None]) > 16 // 3) | (np.abs(idx[None, :]) > 16 // 3)
@@ -225,32 +276,44 @@ def test_duhamel_sweep_matches_single_slice_reference(n_steps):
     forces = [SpatialField(grid, rng.standard_normal(grid.spatial_shape)
                            + 1.0 + 2.0 * t * math.cos(3.0 * t), PHYSICAL)
               for t in times]
-    slices = list(_duhamel_sweep(grid, times, forces))
+    hats = [to_frequency(force).values for force in forces]
+    slices = list(_duhamel_sweep(grid, times, hats))
     assert len(slices) == n_steps + 1
     for k, swept in enumerate(slices):
-        for derivative, got in zip((False, True), swept):
+        for derivative, hat in zip((False, True), swept):
+            got = to_physical(SpatialField(grid, hat, FREQUENCY)).values
             want = duhamel_apply(times, forces, k, derivative=derivative).values
             err = np.abs(got - want).max()
             assert err <= 1e-13 * np.abs(want).max()
 
 
-def test_picard_transform_count_linear_in_steps(monkeypatch):
-    calls = []
-    original = spectral_grid.transform
-
-    def counting(fld, direction):
-        calls.append(direction)
-        return original(fld, direction)
-
-    monkeypatch.setattr(spectral_grid, "transform", counting)
+def test_picard_transform_count_linear_in_steps(transform_calls):
+    # 2 for the data, 3 per forcing, 2 per output slice: 87 at n_steps = 16
     data = mode_data(make_grid(), amplitude=0.1)
     counts = []
     for n_steps in (16, 32):
-        calls.clear()
+        transform_calls.clear()
         cfg = SolverConfig(T=0.2, n_steps=n_steps, picard_max=1)
         picard_solve(data, Nonlinearity("spatial_grad_square"), cfg)
-        counts.append(len(calls))
+        counts.append(len(transform_calls))
+    assert counts[0] <= 90
     assert counts[1] / counts[0] <= 2.2
+
+
+def test_rk4_transform_count(transform_calls):
+    # 2 for the data, 4 per right-hand side, 2 per output slice: 292
+    data = mode_data(make_grid(), amplitude=0.1)
+    cfg = SolverConfig(T=0.2, n_steps=16)
+    rk4_solve(data, Nonlinearity("full_grad_square"), cfg)
+    assert len(transform_calls) <= 300
+
+
+def test_gradient_magnitude_transform_count(transform_calls):
+    # frequency-represented data: one inverse transform per gradient component
+    grid = GridSpec(nx=16, nt=8, spatial_period=2 * math.pi, time_period=1.0)
+    data = random_data(grid, s=1.75, r=2, seed=9, band_limit=5.0)
+    gradient_magnitude_trajectory(data)
+    assert len(transform_calls) == 2 * grid.nt
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +545,17 @@ def test_wave_admissibility():
     assert wave_admissible(math.inf, 2, n=2)
     assert not wave_admissible(4, 6, n=2)       # 1/2 + 1/6 > 1/2
     assert not wave_admissible(1.5, 100, n=2)   # p < 2
+
+
+def test_gradient_magnitude_trajectory_matches_per_slice_reference():
+    grid = GridSpec(nx=16, nt=8, spatial_period=2 * math.pi, time_period=1.0)
+    data = random_data(grid, s=1.75, r=2, seed=9, band_limit=5.0)
+    got = gradient_magnitude_trajectory(data).values
+    for j, t in enumerate(grid.t_axis):
+        u, _ = free_solution(data, float(t))
+        want = np.sqrt(np.abs(np_derivative(u.values, 0)) ** 2
+                       + np.abs(np_derivative(u.values, 1)) ** 2)
+        assert np.abs(got[j] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_strichartz_ratio_plane_wave_constant_across_resolutions():
