@@ -180,7 +180,8 @@ def get_list(section: dict, key: str, default=None, required=False,
 
 
 def resolve_workers(flag_value=None) -> int:
-    """--workers flag beats CONEWAVE_WORKERS beats machine parallelism."""
+    """--workers flag beats CONEWAVE_WORKERS beats the CPUs this process may
+    run on (its affinity mask where the platform has one)."""
     if flag_value is not None:
         return max(1, int(flag_value))
     env = os.environ.get(WORKERS_ENV)
@@ -189,6 +190,8 @@ def resolve_workers(flag_value=None) -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, multiprocessing.cpu_count())
 
 
@@ -471,7 +474,8 @@ def _constant_point(nx, nt, N0, N1, N2, L1, L2, signs, r, restarts, max_iters,
             "L1": L1, "L2": L2, "signs": "".join("+" if s > 0 else "-" for s in signs),
             "r": _as_fraction(r), "measured_C": m.measured_C,
             "iterations": m.iterations, "converged": m.converged,
-            "restarts": m.restarts, "seed": seed, "degenerate": m.degenerate}
+            "restarts": m.restarts, "seed": seed, "degenerate": m.degenerate,
+            "trace": m.trace}
 
 
 def _parse_signs(raw) -> tuple:
@@ -512,10 +516,18 @@ def _run_constants(cfg: ExperimentConfig, workers: int, out: Path):
                                   signs=sgn, **point))
     results, errors = run_tasks("constant_point", tasks, workers)
     records = [r_ for r_ in results if r_ is not None]
+    key = ["sweep", "N0", "N1", "N2", "L1", "L2", "signs"]
+    trace_rows = []
+    for rec in records:
+        point = {k: rec[k] for k in key}
+        trace_rows.extend(dict(point, iteration=i, value=v)
+                          for i, v in enumerate(rec.pop("trace"), start=1))
     cols = ["sweep", "axis", "N0", "N1", "N2", "L1", "L2", "signs", "r",
             "measured_C", "iterations", "converged", "restarts", "seed",
             "degenerate"]
-    files = [emit_results(records, "csv", out / "constants.csv", cols)]
+    files = [emit_results(records, "csv", out / "constants.csv", cols),
+             emit_results(trace_rows, "csv", out / "ascent_trace.csv",
+                          key + ["iteration", "value"])]
     fits = []
     for label in sorted({rec["sweep"] for rec in records}):
         series = [rec for rec in records if rec["sweep"] == label]

@@ -77,13 +77,25 @@ def eval_J(F0: SpaceTimeField, F1: SpaceTimeField, F2: SpaceTimeField,
     raise ValueError(f"mode must be 'direct' or 'fast', got {mode!r}")
 
 
-def _cyclic_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
+_AXES3 = (0, 1, 2)
 
 
-def _effective_kernel(other1: np.ndarray, other2: np.ndarray) -> np.ndarray:
-    """g[j] = sum_k other1[k] * other2[(-j-k) mod n]; real nonneg inputs."""
-    g = _flip_wrap(_cyclic_conv(other1, other2)).real
+def _spectrum(a: np.ndarray) -> np.ndarray:
+    """Half spectrum of a real lattice density, as cached by the ascent."""
+    return np.fft.rfftn(a, axes=_AXES3)
+
+
+def _effective_kernel(spec1: np.ndarray, spec2: np.ndarray,
+                      shape: tuple) -> np.ndarray:
+    """g[j] = sum_k a1[k] * a2[(-j-k) mod n] from the half spectra of a1, a2.
+
+    The inputs are real and nonnegative.  For real x the DFT of
+    x[(-j) mod n] is conj(DFT(x)), so the flip-wrapped cyclic convolution is
+    one inverse real transform of the conjugated product.
+    """
+    prod = spec1 * spec2
+    np.conjugate(prod, out=prod)
+    g = np.fft.irfftn(prod, s=shape, axes=_AXES3)
     # rounding can leave tiny negatives on a nonnegative convolution
     np.maximum(g, 0.0, out=g)
     return g
@@ -247,15 +259,14 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
 
     for restart in range(config.restarts):
         rng = np.random.default_rng((config.seed, restart))
-        fields = []
         if config.initial is not None and restart == 0:
-            for init, mask, q in zip(config.initial, masks, q_slot):
-                v = np.where(mask, np.maximum(np.asarray(init, dtype=float), 0.0), 0.0)
-                fields.append(_normalize(v, q, w))
+            starts = (np.maximum(np.asarray(init, dtype=float), 0.0)
+                      for init in config.initial)
         else:
-            for mask, q in zip(masks, q_slot):
-                v = np.where(mask, rng.random(grid.shape), 0.0)
-                fields.append(_normalize(v, q, w))
+            starts = (rng.random(grid.shape) for _ in masks)
+        # an update reads the other slots only through their spectra
+        spectra = [_spectrum(_normalize(np.where(mask, v, 0.0), q, w))
+                   for v, mask, q in zip(starts, masks, q_slot)]
 
         value = -math.inf
         trace = []
@@ -266,15 +277,16 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
             prev = value
             for j in range(3):
                 k, l = (j + 1) % 3, (j + 2) % 3
-                g = _effective_kernel(fields[k], fields[l])
-                g = np.where(masks[j], g, 0.0)
+                g = _effective_kernel(spectra[k], spectra[l], grid.shape)
+                g *= masks[j]
                 gmax = g.max()
                 if gmax == 0.0:
                     dead = True
                     break
                 q = q_slot[j]
-                fields[j] = _normalize(g ** (1.0 / (q - 1.0)), q, w)
-                value = float(np.sum(fields[j] * g) * w2)
+                f = _normalize(g ** (1.0 / (q - 1.0)), q, w)
+                spectra[j] = _spectrum(f)
+                value = float(np.sum(f * g) * w2)
             if dead:
                 break
             trace.append(value)
@@ -304,8 +316,9 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
 def objective_value(grid: GridSpec, fields) -> float:
     """J of a (F0, F1, F2) value triple (arrays), for oracle comparisons."""
     w2 = grid.freq_cell ** 2
-    g = _effective_kernel(np.asarray(fields[1], dtype=float),
-                          np.asarray(fields[2], dtype=float))
+    g = _effective_kernel(_spectrum(np.asarray(fields[1], dtype=float)),
+                          _spectrum(np.asarray(fields[2], dtype=float)),
+                          grid.shape)
     return float(np.sum(np.asarray(fields[0], dtype=float) * g) * w2)
 
 

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -240,6 +242,17 @@ l2 = 2
     assert sweeps == {"l1:base", "l1:alt"}
     for row in rows:
         assert float(row["measured_C"]) > 0
+    # the trace table holds each point's ascent, ending at its constant
+    trace = list(csv.DictReader(open(tmp_path / "out" / "ascent_trace.csv")))
+    assert list(trace[0]) == ["sweep", "N0", "N1", "N2", "L1", "L2", "signs",
+                              "iteration", "value"]
+    key = ("sweep", "N0", "N1", "N2", "L1", "L2", "signs")
+    for row in rows:
+        steps = [t for t in trace if all(t[k] == row[k] for k in key)]
+        assert [int(t["iteration"]) for t in steps] == list(
+            range(1, int(row["iterations"]) + 1))
+        assert steps[-1]["value"] == row["measured_C"]
+    assert len(trace) == sum(int(row["iterations"]) for row in rows)
 
 
 def test_solve_experiment_smoke(tmp_path):
@@ -383,6 +396,21 @@ def test_workers_env_and_flag_precedence(monkeypatch):
         resolve_workers(None)
     monkeypatch.delenv("CONEWAVE_WORKERS")
     assert resolve_workers(None) >= 1
+
+
+def test_workers_default_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("CONEWAVE_WORKERS", raising=False)
+    monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    assert resolve_workers(None) == 3
+
+
+def test_workers_default_without_affinity_uses_cpu_count(monkeypatch):
+    monkeypatch.delenv("CONEWAVE_WORKERS", raising=False)
+    monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 7)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert resolve_workers(None) == 7
 
 
 def test_worker_failure_marks_incomplete(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import inspect
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +9,10 @@ import pytest
 from conewave import (FREQUENCY, GridSpec, SpaceTimeField, AscentConfig,
                       BallConeRegions, EstimateForm, best_constant, eval_J,
                       exponent_regression, predicted_constant)
+from conewave import trilinear_forms
 from conewave.spectral_grid import region_mask
-from conewave.trilinear_forms import ConstantMeasurement, objective_value
+from conewave.trilinear_forms import (ConstantMeasurement, _effective_kernel,
+                                      _spectrum, objective_value)
 
 from conftest import random_field
 
@@ -228,6 +232,114 @@ def test_best_constant_tracks_easy_shape_across_octaves():
                                        (L_span, L_span), 2)
         ratios.append(m.measured_C / predicted)
     assert max(ratios) / min(ratios) <= 2.0
+
+
+# ---------------------------------------------------------------------------
+# the ascent kernel
+# ---------------------------------------------------------------------------
+
+def _lattice_sum_kernel(a, b):
+    """Literal O(n^2) sum g[j] = sum_k a[k] * b[(-j-k) mod n]."""
+    shape = a.shape
+    k = np.indices(shape)
+    g = np.empty(shape)
+    for j in np.ndindex(shape):
+        idx = tuple((-jd - kd) % n for jd, kd, n in zip(j, k, shape))
+        g[j] = np.sum(a * b[idx])
+    return g
+
+
+def test_effective_kernel_matches_lattice_sum():
+    grid = GridSpec(nx=8, nt=16, spatial_period=2 * math.pi,
+                    time_period=2 * math.pi)
+    rng = np.random.default_rng(7)
+    f0, a, b = (rng.random(grid.shape) for _ in range(3))
+    expected = _lattice_sum_kernel(a, b)
+    g = _effective_kernel(_spectrum(a), _spectrum(b), grid.shape)
+    assert g.shape == grid.shape
+    assert np.max(np.abs(g - expected)) <= 1e-12 * np.max(expected)
+    J = np.sum(f0 * expected) * grid.freq_cell ** 2
+    assert objective_value(grid, (f0, a, b)) == pytest.approx(J, rel=1e-12)
+
+
+def _complex_fft_kernel(a, b, shape):
+    """The previous kernel: cyclic convolution by complex FFTs, flip-wrapped."""
+    conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
+    g = np.roll(conv[::-1, ::-1, ::-1], shift=(1, 1, 1), axis=(0, 1, 2)).real
+    np.maximum(g, 0.0, out=g)
+    return g
+
+
+# two shipped constants points (sweep l1 at L1 = 1, sweep n1 at N1 = 2 with
+# the compared sign pattern), on a lattice half the shipped size
+@pytest.mark.parametrize("N, L, signs", [
+    ((32, 8, 16), (1, 8), (+1, +1, +1)),
+    ((32, 2, 16), (2, 2), (+1, +1, -1)),
+])
+def test_best_constant_matches_complex_fft_kernel(monkeypatch, N, L, signs):
+    grid = GridSpec(nx=16, nt=32, spatial_period=2 * math.pi,
+                    time_period=2 * math.pi)
+    regions = BallConeRegions(N=N, L=L, signs=signs)
+    cfg = AscentConfig(restarts=2, max_iters=40, tol=1e-7, seed=11)
+
+    def run():
+        return best_constant(grid, regions.A0, regions.A1, regions.A2, 2, cfg)
+
+    new = run()
+    monkeypatch.setattr(trilinear_forms, "_spectrum", lambda a: a)
+    monkeypatch.setattr(trilinear_forms, "_effective_kernel",
+                        _complex_fft_kernel)
+    old = run()
+    assert new.measured_C > 0
+    assert new.measured_C == pytest.approx(old.measured_C, rel=1e-12)
+    assert new.iterations == old.iterations
+    assert new.converged == old.converged
+
+
+_FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+              "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Names of the np.fft transforms called from trilinear_forms."""
+    calls = []
+    for name in _FFT_NAMES:
+        original = getattr(np.fft, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            caller = inspect.currentframe().f_back.f_globals.get("__name__")
+            if caller == trilinear_forms.__name__:
+                calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
+def test_best_constant_transform_count(fft_calls):
+    # tol 0 never converges here, so each restart runs all max_iters sweeps
+    grid = _small_grid()
+    regions = BallConeRegions(N=(8, 2, 4), L=(2, 2), signs=(+1, +1, +1))
+    restarts, sweeps = 2, 3
+    m = best_constant(grid, regions.A0, regions.A1, regions.A2, 2,
+                      AscentConfig(restarts=restarts, max_iters=sweeps, tol=0.0,
+                                   seed=1))
+    assert m.iterations == sweeps and not m.converged
+    total = restarts * sweeps
+    assert sorted(fft_calls) == sorted(["irfftn"] * 3 * total
+                                       + ["rfftn"] * (3 * total + 3 * restarts))
+
+
+def test_best_constant_raises_no_warnings():
+    # numpy 2 deprecates irfftn(s=...) without axes; any warning is an error
+    grid = _small_grid()
+    regions = BallConeRegions(N=(8, 2, 4), L=(2, 2), signs=(+1, +1, +1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = best_constant(grid, regions.A0, regions.A1, regions.A2, 1.7,
+                          AscentConfig(restarts=1, max_iters=5, seed=0))
+    assert m.measured_C > 0
 
 
 # ---------------------------------------------------------------------------
