@@ -29,7 +29,9 @@ from . import __version__
 from .dyadic_ledger import feasible_b
 from .frequency_geometry import VOLUME_CASES, volume_exponent_fit
 from .nlw_solver import (CauchyData, Nonlinearity, SolverConfig, energy,
-                         picard_solve, random_data, rk4_solve, strichartz_probe)
+                         picard_solve, random_data, rk4_solve,
+                         strichartz_member, strichartz_summary,
+                         strichartz_tasks)
 from .norms import _as_fraction, scaling_law_check, spatial_l2
 from .spectral_grid import PHYSICAL, TWO_PI, GridSpec, SpatialField
 from ._regression import fit_power_law
@@ -625,22 +627,33 @@ def _run_scaling(cfg: ExperimentConfig, workers: int, out: Path):
     return files, []
 
 
+register_task("strichartz_member")(strichartz_member)
+
+
 def _run_strichartz(cfg: ExperimentConfig, workers: int, out: Path):
-    del workers
     sec = cfg.section("params", required=True)
-    ensemble = int(get_value(sec, "ensemble", 8, section_name="params"))
-    q_t = float(get_value(sec, "q_t", 4.0, section_name="params"))
+    ensemble = get_value(sec, "ensemble", 8, section_name="params", expect=int)
+    if ensemble < 1:
+        raise ConfigError(f"must be >= 1, got {sec['ensemble']!r}",
+                          section="params", key="ensemble")
+    q_t = get_value(sec, "q_t", 4.0, section_name="params")
+    if isinstance(q_t, (bool, str)) or not (math.isfinite(q_t) and q_t >= 4):
+        raise ConfigError(f"must be a finite number >= 4, got {sec['q_t']!r}",
+                          section="params", key="q_t")
     resolutions = [int(v) for v in get_list(sec, "resolutions", [32, 64, 128, 256],
                                             section_name="params")]
-    nt = int(get_value(sec, "nt", 64, section_name="params"))
-    probe = strichartz_probe(ensemble, q_t, resolutions, cfg.seed, nt=nt)
-    files = [emit_results([dict(rec) for rec in probe.records], "csv",
-                          out / "ratios.csv", ["resolution", "seed", "ratio"])]
+    nt = get_value(sec, "nt", 64, section_name="params", expect=int)
+    tasks = strichartz_tasks(ensemble, float(q_t), resolutions, cfg.seed, nt=nt)
+    ratios, errors = run_tasks("strichartz_member", tasks, workers)
+    probe = strichartz_summary(tasks, ratios)
+    files = [emit_results(probe.records, "csv", out / "ratios.csv",
+                          ["resolution", "seed", "ratio"])]
     medians = [{"resolution": m, "median_ratio": v}
                for m, v in sorted(probe.medians.items())]
-    files.append(emit_results(medians, "csv", out / "medians.csv"))
+    files.append(emit_results(medians, "csv", out / "medians.csv",
+                              ["resolution", "median_ratio"]))
     files.append(emit_results([{"slope": probe.slope}], "csv", out / "slope.csv"))
-    return files, []
+    return files, errors
 
 
 _RUNNERS = {

@@ -17,10 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .norms import _as_fraction, _conjugate, fl_norm, mixed_norm
+from .norms import _as_fraction, _conjugate, _temporal_norm, fl_norm
 from .spectral_grid import (FREQUENCY, PHYSICAL, TWO_PI, GridSpec,
-                            SpaceTimeField, SpatialField, to_frequency,
-                            to_physical)
+                            SpaceTimeField, SpatialField, flip_wrap,
+                            to_frequency, to_physical)
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +146,15 @@ def _gradient(grid: GridSpec, hat):
             _physical(grid, 1j * x2 * hat).values)
 
 
+def _halfwave(k, t: float):
+    """cos(t k) and sin(t k)/k (value t where k = 0) for magnitudes k >= 0."""
+    tk = t * k
+    return np.cos(tk), np.divide(np.sin(tk), k, out=np.full_like(k, t), where=k > 0)
+
+
 def halfwave_multipliers(grid: GridSpec, t: float):
     """Fourier multipliers cos(t |xi|) and sin(t |xi|)/|xi| (value t at xi = 0)."""
-    k = grid.xi_magnitude()
-    cos_m = np.cos(t * k)
-    sin_over = np.empty_like(k)
-    nz = k > 0
-    sin_over[nz] = np.sin(t * k[nz]) / k[nz]
-    sin_over[~nz] = t
-    return cos_m, sin_over
+    return _halfwave(grid.xi_magnitude(), t)
 
 
 def _free_spectra(data: CauchyData, times):
@@ -164,9 +164,10 @@ def _free_spectra(data: CauchyData, times):
     grid = data.grid
     fhat = to_frequency(data.f).values
     ghat = to_frequency(data.g).values
-    xi_sq = grid.xi_magnitude() ** 2
+    k = grid.xi_magnitude()
+    xi_sq = k ** 2
     for t in times:
-        cos_m, sin_over = halfwave_multipliers(grid, float(t))
+        cos_m, sin_over = _halfwave(k, float(t))
         yield cos_m * fhat + sin_over * ghat, cos_m * ghat - xi_sq * sin_over * fhat
 
 
@@ -260,8 +261,7 @@ def duhamel_apply(times, forces, k: int, derivative: bool = False) -> SpatialFie
         if derivative:
             mult = np.cos(dt_ * k_mag)
         else:
-            cos_m, sin_over = halfwave_multipliers(grid, dt_)
-            mult = sin_over
+            _, mult = _halfwave(k_mag, dt_)
         weight = 0.5 if j in (0, k) else 1.0
         acc += weight * mult * fhat
     acc *= (times[k] - times[0]) / k
@@ -425,8 +425,7 @@ def _hermitian_random_spectrum(grid: GridSpec, exponent: float, rng,
     phases = np.exp(1j * TWO_PI * rng.random((nx, nx)))
     canonical = (k1 > 0) | ((k1 == 0) & (k2 > 0))
     half = np.where(band & canonical, weight * phases, 0.0)
-    flipped = np.roll(half[::-1, ::-1], 1, axis=(0, 1))
-    full = half + np.conj(flipped)
+    full = half + np.conj(flip_wrap(half))
     full[0, 0] = weight[0, 0]
     return full
 
@@ -522,24 +521,69 @@ def wave_admissible(p, q, n: int = 2) -> bool:
     return lhs <= Fraction(n - 1, 2)
 
 
-def gradient_magnitude_trajectory(data: CauchyData) -> SpaceTimeField:
-    """|grad u|(t, x) of the free solution on the grid's periodic time lattice."""
+def _real_half_spectrum(fld: SpatialField) -> np.ndarray:
+    """The rfft2 half (columns 0..nx/2) of the spectrum of a real field.
+
+    Raises ValueError unless the spectrum equals the conjugate of its
+    flip-wrap to 1e-12 of its largest magnitude, i.e. unless the field is
+    real; no transform is made for a frequency-represented field.
+    """
+    hat = to_frequency(fld).values
+    if np.abs(hat - np.conj(flip_wrap(hat))).max() > 1e-12 * np.abs(hat).max():
+        raise ValueError("the dispersive probe needs real data: the spectrum "
+                         "is not Hermitian")
+    return hat[:, :fld.grid.nx // 2 + 1]
+
+
+def _gradient_magnitudes(data: CauchyData):
+    """Yield |grad u| of the free solution at each time of the grid's
+    periodic time lattice, one real (nx, nx) array per slice.
+
+    Real data only (ValueError otherwise).  With the derivative multipliers
+    D = (i xi1, i xi2) premultiplied into a = D f-hat and b = D g-hat/|xi|,
+    a slice is one batched irfft2 of cos(t|xi|) a + sin(t|xi|) b over both
+    components.  D vanishes on the Nyquist row (d/dx1) and column (d/dx2),
+    so the gradient's Nyquist modes are dropped; data without Nyquist
+    content, like random_data's, lose nothing.
+    """
     grid = data.grid
-    out = np.empty(grid.shape)
-    for j, (u_hat, _) in enumerate(_free_spectra(data, grid.t_axis)):
-        g1, g2 = _gradient(grid, u_hat)
-        out[j] = np.sqrt(np.abs(g1) ** 2 + np.abs(g2) ** 2)
-    return SpaceTimeField(grid, out, PHYSICAL)
+    nx = grid.nx
+    half = nx // 2 + 1
+    f_half = _real_half_spectrum(data.f)
+    g_half = _real_half_spectrum(data.g)
+    k = grid.xi_magnitude()[:, :half]
+    inv_k = np.divide(1.0, k, out=np.zeros_like(k), where=k > 0)
+    xi = grid.xi_axis
+    xi[nx // 2] = 0.0
+    # the inverse transform's 1/factor rides on the multipliers
+    deriv = (1j / grid.spatial_transform_factor) * np.stack(
+        np.broadcast_arrays(xi[:, None], xi[None, :half]))
+    a = deriv * f_half
+    b = deriv * (inv_k * g_half)
+    for t in grid.t_axis:
+        tk = t * k
+        g1, g2 = np.fft.irfft2(np.cos(tk) * a + np.sin(tk) * b,
+                               s=grid.spatial_shape)
+        yield np.sqrt(g1 ** 2 + g2 ** 2)
+
+
+def gradient_magnitude_trajectory(data: CauchyData) -> SpaceTimeField:
+    """|grad u|(t, x) of the free solution on the grid's periodic time
+    lattice, for real data (see _gradient_magnitudes)."""
+    return SpaceTimeField(data.grid, np.stack(list(_gradient_magnitudes(data))),
+                          PHYSICAL)
 
 
 def strichartz_ratio(data: CauchyData, q_t: float, s: float = 1.75) -> float:
-    """Dispersive-to-data norm quotient for one free solution.
+    """Dispersive-to-data norm quotient for one free solution of real data.
 
     R = |grad u|_{L^{q_t}_t L^inf_x} / (|f|_{H^s} + |g|_{H^{s-1}}), the
-    space-time norm taken over one period of the data's grid.
+    space-time norm taken over one period of the data's grid.  Each slice
+    is reduced to its lattice max as it is made, so the (nt, nx, nx) stack
+    is never held.
     """
-    du = gradient_magnitude_trajectory(data)
-    num = mixed_norm(du, q_t, math.inf).value
+    maxima = np.array([slice_.max() for slice_ in _gradient_magnitudes(data)])
+    num = _temporal_norm(maxima, q_t, data.grid.dt)
     den = fl_norm(data.f, 2, s).value + fl_norm(data.g, 2, s - 1).value
     return num / den
 
@@ -551,10 +595,10 @@ class StrichartzProbe:
     slope: float        # log2(median) per log2(resolution)
 
 
-def strichartz_probe(ensemble_size: int, q_t: float, resolution_ladder,
+def strichartz_tasks(ensemble_size: int, q_t: float, resolution_ladder,
                      seed: int, nt: int = 64, s: float = 1.75,
-                     band_policy: str = "fixed") -> StrichartzProbe:
-    """Ratio trend of free solutions with rough random data across resolutions.
+                     band_policy: str = "fixed") -> list:
+    """strichartz_member keyword arguments, one per (resolution, member).
 
     With the default "fixed" band policy the random data band is pinned at
     the coarsest grid's capacity and only the lattice refines, so a flat
@@ -569,22 +613,43 @@ def strichartz_probe(ensemble_size: int, q_t: float, resolution_ladder,
     if band_policy not in ("fixed", "proportional"):
         raise ValueError("band_policy must be 'fixed' or 'proportional'")
     base_band = 0.4 * min(resolution_ladder)
-    records = []
-    medians = {}
-    for m in resolution_ladder:
-        grid = GridSpec(nx=m, nt=nt, spatial_period=TWO_PI, time_period=1.0)
-        band = grid.d_xi * (0.4 * m if band_policy == "proportional" else base_band)
-        ratios = []
-        for j in range(ensemble_size):
-            data = random_data(grid, s=s, r=2, seed=seed + 7919 * m + j,
-                               band_limit=band)
-            ratio = strichartz_ratio(data, q_t, s=s)
-            ratios.append(ratio)
-            records.append({"resolution": m, "seed": seed + 7919 * m + j,
-                            "ratio": ratio})
-        medians[m] = float(np.median(ratios))
+    return [dict(resolution=m, seed=seed + 7919 * m + j, q_t=q_t, nt=nt, s=s,
+                 band_modes=0.4 * m if band_policy == "proportional" else base_band)
+            for m in resolution_ladder for j in range(ensemble_size)]
+
+
+def strichartz_member(resolution: int, seed: int, q_t: float, nt: int,
+                      s: float, band_modes: float) -> float:
+    """Ratio of one ensemble member: random data of this seed, band-limited
+    to band_modes lattice steps, on the resolution x resolution grid."""
+    grid = GridSpec(nx=resolution, nt=nt, spatial_period=TWO_PI, time_period=1.0)
+    data = random_data(grid, s=s, r=2, seed=seed,
+                       band_limit=grid.d_xi * band_modes)
+    return strichartz_ratio(data, q_t, s=s)
+
+
+def strichartz_summary(tasks, ratios) -> StrichartzProbe:
+    """Records, median ratio per resolution and the log-log slope of the
+    medians; a member whose ratio is None (a failed task) is left out."""
+    records = tuple({"resolution": task["resolution"], "seed": task["seed"],
+                     "ratio": ratio}
+                    for task, ratio in zip(tasks, ratios) if ratio is not None)
+    groups = {}
+    for rec in records:
+        groups.setdefault(rec["resolution"], []).append(rec["ratio"])
+    medians = {m: float(np.median(group)) for m, group in groups.items()}
     ms = sorted(medians)
     xs = np.log2(np.array(ms, float))
     ys = np.log2(np.array([medians[m] for m in ms]))
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(ms) >= 2 else 0.0
-    return StrichartzProbe(records=tuple(records), medians=medians, slope=slope)
+    return StrichartzProbe(records=records, medians=medians, slope=slope)
+
+
+def strichartz_probe(ensemble_size: int, q_t: float, resolution_ladder,
+                     seed: int, nt: int = 64, s: float = 1.75,
+                     band_policy: str = "fixed") -> StrichartzProbe:
+    """Ratio trend of free solutions with rough random data across
+    resolutions, run serially; see strichartz_tasks for the band policies."""
+    tasks = strichartz_tasks(ensemble_size, q_t, resolution_ladder, seed,
+                             nt=nt, s=s, band_policy=band_policy)
+    return strichartz_summary(tasks, [strichartz_member(**task) for task in tasks])

@@ -154,11 +154,15 @@ def mixed_norm(u: SpaceTimeField, q_t, rho_x) -> NormValue:
         cell = u.grid.spatial_phys_cell
         per_t = (np.sum(mag ** rho_x, axis=(1, 2)) * cell) ** (1.0 / rho_x)
     if math.isinf(q_t):
-        value = float(per_t.max())
         meta["temporal_linf"] = "lattice max"
-    else:
-        value = float((np.sum(per_t ** q_t) * u.grid.dt) ** (1.0 / q_t))
-    return NormValue(value, "Mixed", meta)
+    return NormValue(_temporal_norm(per_t, q_t, u.grid.dt), "Mixed", meta)
+
+
+def _temporal_norm(per_t, q_t, dt) -> float:
+    """L^{q_t} over the time lattice of per-slice values, q_t = inf as the max."""
+    if math.isinf(q_t):
+        return float(per_t.max())
+    return float((np.sum(per_t ** q_t) * dt) ** (1.0 / q_t))
 
 
 def spatial_l2(f: SpatialField) -> float:

@@ -137,6 +137,12 @@ class GridSpec:
     def spatial_freq_cell(self) -> float:
         return self.d_xi ** 2
 
+    @property
+    def spatial_transform_factor(self) -> float:
+        """dx^2 / (2 pi): the spatial forward transform is fft2 times this,
+        the inverse ifft2 divided by it."""
+        return self.spatial_phys_cell / TWO_PI
+
 
 def _as_readonly(values, shape):
     arr = np.asarray(values, dtype=np.complex128)
@@ -194,7 +200,7 @@ def zeros_like(fld):
 def _forward_factor(fld):
     if isinstance(fld, SpaceTimeField):
         return fld.grid.phys_cell / TWO_PI ** 1.5
-    return fld.grid.spatial_phys_cell / TWO_PI
+    return fld.grid.spatial_transform_factor
 
 
 def transform(fld, direction):
@@ -223,6 +229,13 @@ def to_frequency(fld):
 
 def to_physical(fld):
     return fld if fld.rep == PHYSICAL else transform(fld, "inverse")
+
+
+def flip_wrap(a: np.ndarray) -> np.ndarray:
+    """b[j] = a[(-j) mod n] along every axis.  For real x the DFT of the
+    flip-wrap of x is the conjugate of the DFT of x, and a spectrum is that
+    of real data exactly when it equals the conjugate of its flip-wrap."""
+    return np.roll(a[(slice(None, None, -1),) * a.ndim], 1, axis=tuple(range(a.ndim)))
 
 
 # ---------------------------------------------------------------------------

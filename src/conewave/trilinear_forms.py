@@ -21,18 +21,13 @@ from ._regression import fit_power_law
 from .frequency_geometry import _VACUOUS_L, BallCone, Reflect
 from .norms import _as_fraction
 from .spectral_grid import (FREQUENCY, TWO_PI, GridSpec, SpaceTimeField,
-                            region_mask, require_dyadic, to_physical)
+                            flip_wrap, region_mask, require_dyadic,
+                            to_physical)
 
 
 # ---------------------------------------------------------------------------
 # the trilinear form
 # ---------------------------------------------------------------------------
-
-def _flip_wrap(a: np.ndarray) -> np.ndarray:
-    """b[j] = a[(-j) mod n] along every axis."""
-    out = a[::-1, ::-1, ::-1]
-    return np.roll(out, shift=(1, 1, 1), axis=(0, 1, 2))
-
 
 def _check_common_grid(fields):
     grid = fields[0].grid
@@ -56,7 +51,7 @@ def eval_J(F0: SpaceTimeField, F1: SpaceTimeField, F2: SpaceTimeField,
     grid = _check_common_grid((F0, F1, F2))
     if mode == "direct":
         w2 = grid.freq_cell ** 2
-        f2r = _flip_wrap(np.asarray(F2.values))
+        f2r = flip_wrap(np.asarray(F2.values))
         v1 = np.asarray(F1.values)
         total = 0.0 + 0.0j
         nt, nx, _ = grid.shape

@@ -192,6 +192,24 @@ def test_worker_count_does_not_change_output(tmp_path):
         checksums.append({f["name"]: f["sha256"] for f in manifest["files"]})
     assert checksums[0] == checksums[1]
     assert "residuals.csv" in checksums[0]
+    strichartz = write_config(tmp_path, """
+[experiment]
+kind = strichartz
+seed = 5
+
+[params]
+ensemble = 3
+q_t = 4
+resolutions = 16 32
+nt = 8
+""", name="strichartz.ini")
+    for workers in (1, 3):
+        manifest = run_experiment(strichartz, workers=workers,
+                                  out_dir=tmp_path / f"strichartz{workers}")
+        assert manifest["complete"]
+    for name in ("ratios.csv", "medians.csv", "slope.csv"):
+        assert ((tmp_path / "strichartz1" / name).read_bytes()
+                == (tmp_path / "strichartz3" / name).read_bytes())
 
 
 def test_seed_changes_output(tmp_path):
@@ -340,6 +358,22 @@ def test_cli_rejects_mistyped_solve_param(tmp_path, capsys, key, raw):
              for line in text.splitlines()]
     path = write_config(tmp_path, "\n".join(lines) + "\n")
     rc = cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert (record["section"], record["key"]) == ("params", key)
+    assert raw in record["message"]
+
+
+@pytest.mark.parametrize("key, raw", [("ensemble", "2.7"), ("ensemble", "0"),
+                                      ("nt", "64.5"), ("q_t", "2"),
+                                      ("q_t", "inf")])
+def test_cli_rejects_bad_strichartz_param(tmp_path, capsys, key, raw):
+    text = (CONFIG_DIR / "strichartz.ini").read_text(encoding="utf-8")
+    lines = [f"{key} = {raw}" if line.startswith(f"{key} =") else line
+             for line in text.splitlines()]
+    path = write_config(tmp_path, "\n".join(lines) + "\n")
+    rc = cli_main(["strichartz", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "config"

@@ -8,12 +8,14 @@ from conewave import (FREQUENCY, PHYSICAL, CauchyData, GridSpec, Nonlinearity,
                       existence_probe, free_solution, halfwave_multipliers,
                       nonlinearity_eval, picard_solve, random_data, rk4_solve,
                       wave_admissible)
-from conewave import spectral_grid
+from conewave import nlw_solver, spectral_grid
 from conewave.nlw_solver import (_duhamel_sweep, free_trajectory,
                                   gradient_magnitude_trajectory,
                                   strichartz_ratio)
 from conewave.norms import fl_norm, spatial_l2
 from conewave.spectral_grid import to_frequency, to_physical
+
+from conftest import count_fft_calls
 
 
 def make_grid(nx=16, nt=8):
@@ -30,12 +32,27 @@ def mode_data(grid, k=(1, 0), amplitude=1.0, g_amplitude=0.0):
     return CauchyData(f, g)
 
 
-def np_derivative(values, axis):
-    """Spectral d/dx_axis on the 2*pi torus with raw np.fft."""
+def np_derivative(values, axis, drop_nyquist=False):
+    """Spectral d/dx_axis on the 2*pi torus with raw np.fft; drop_nyquist
+    zeroes the multiplier on the Nyquist row (axis 0) or column (axis 1)."""
     nx = values.shape[0]
     k = nx * np.fft.fftfreq(nx)
+    if drop_nyquist:
+        k[nx // 2] = 0.0
     mult = k[:, None] if axis == 0 else k[None, :]
     return np.fft.ifft2(1j * mult * np.fft.fft2(values))
+
+
+def np_gradient_magnitudes(data, drop_nyquist=False):
+    """|grad u| per slice of the grid's time lattice, from free_solution and
+    np_derivative."""
+    out = []
+    for t in data.grid.t_axis:
+        u, _ = free_solution(data, float(t))
+        out.append(np.sqrt(
+            np.abs(np_derivative(u.values, 0, drop_nyquist)) ** 2
+            + np.abs(np_derivative(u.values, 1, drop_nyquist)) ** 2))
+    return np.array(out)
 
 
 @pytest.fixture
@@ -73,6 +90,20 @@ def test_halfwave_multipliers_values():
     c, s = halfwave_multipliers(grid, math.pi / 4)
     assert c[4, 0] == pytest.approx(-1.0)
     assert s[4, 0] == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("nx", [16, 64])
+def test_halfwave_multipliers_bit_identical_to_masked_formula(nx):
+    grid = make_grid(nx=nx)
+    k = grid.xi_magnitude()
+    nz = k > 0
+    for t in (0.0, 1e-3, 0.3, math.pi / 4, 1.0, 3.0, 17.25):
+        want_sin = np.empty_like(k)
+        want_sin[nz] = np.sin(t * k[nz]) / k[nz]
+        want_sin[~nz] = t
+        cos_m, sin_over = halfwave_multipliers(grid, t)
+        assert np.array_equal(cos_m, np.cos(t * k))
+        assert np.array_equal(sin_over, want_sin)
 
 
 def test_free_solution_eigenfunction():
@@ -308,12 +339,16 @@ def test_rk4_transform_count(transform_calls):
     assert len(transform_calls) <= 300
 
 
-def test_gradient_magnitude_transform_count(transform_calls):
-    # frequency-represented data: one inverse transform per gradient component
+def test_gradient_magnitude_transform_count(transform_calls, monkeypatch):
+    # frequency-represented data: one batched real inverse transform per
+    # slice, no complex transform and no spectral_grid.transform
+    fft_calls = count_fft_calls(monkeypatch, nlw_solver)
     grid = GridSpec(nx=16, nt=8, spatial_period=2 * math.pi, time_period=1.0)
     data = random_data(grid, s=1.75, r=2, seed=9, band_limit=5.0)
     gradient_magnitude_trajectory(data)
-    assert len(transform_calls) == 2 * grid.nt
+    strichartz_ratio(data, q_t=4.0)
+    assert fft_calls == ["irfft2"] * 2 * grid.nt
+    assert transform_calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +591,44 @@ def test_gradient_magnitude_trajectory_matches_per_slice_reference():
         want = np.sqrt(np.abs(np_derivative(u.values, 0)) ** 2
                        + np.abs(np_derivative(u.values, 1)) ** 2)
         assert np.abs(got[j] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("nx", [16, 32])
+def test_strichartz_ratio_matches_per_slice_reference(nx):
+    grid = GridSpec(nx=nx, nt=16, spatial_period=2 * math.pi, time_period=1.0)
+    data = random_data(grid, s=1.75, r=2, seed=nx + 3, band_limit=0.4 * nx)
+    q_t = 4.5
+    maxima = np_gradient_magnitudes(data).max(axis=(1, 2))
+    num = (np.sum(maxima ** q_t) * grid.dt) ** (1.0 / q_t)
+    want = num / (fl_norm(data.f, 2, 1.75).value + fl_norm(data.g, 2, 0.75).value)
+    assert strichartz_ratio(data, q_t) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_gradient_magnitudes_drop_nyquist_modes():
+    # real physical data fill the Nyquist row and column of the spectrum
+    grid = GridSpec(nx=16, nt=8, spatial_period=2 * math.pi, time_period=1.0)
+    rng = np.random.default_rng(12)
+    data = CauchyData(SpatialField(grid, rng.standard_normal((16, 16)), PHYSICAL),
+                      SpatialField(grid, rng.standard_normal((16, 16)), PHYSICAL))
+    got = gradient_magnitude_trajectory(data).values.real
+    want = np_gradient_magnitudes(data, drop_nyquist=True)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # the data do carry Nyquist content: keeping it changes the gradient
+    full = np_gradient_magnitudes(data)
+    assert np.abs(got - full).max() > 1e-2 * np.abs(full).max()
+
+
+def test_gradient_magnitudes_reject_complex_data():
+    grid = GridSpec(nx=16, nt=8, spatial_period=2 * math.pi, time_period=1.0)
+    rng = np.random.default_rng(13)
+    real = SpatialField(grid, rng.standard_normal((16, 16)), PHYSICAL)
+    complex_ = SpatialField(grid, rng.standard_normal((16, 16))
+                            + 1j * rng.standard_normal((16, 16)), PHYSICAL)
+    for data in (CauchyData(complex_, real), CauchyData(real, complex_)):
+        with pytest.raises(ValueError, match="Hermitian"):
+            gradient_magnitude_trajectory(data)
+        with pytest.raises(ValueError, match="Hermitian"):
+            strichartz_ratio(data, q_t=4.0)
 
 
 def test_strichartz_ratio_plane_wave_constant_across_resolutions():

@@ -1,4 +1,3 @@
-import inspect
 import math
 import warnings
 from fractions import Fraction
@@ -14,7 +13,7 @@ from conewave.spectral_grid import region_mask
 from conewave.trilinear_forms import (ConstantMeasurement, _effective_kernel,
                                       _spectrum, objective_value)
 
-from conftest import random_field
+from conftest import count_fft_calls, random_field
 
 
 def _nonneg_field(grid, seed):
@@ -296,25 +295,10 @@ def test_best_constant_matches_complex_fft_kernel(monkeypatch, N, L, signs):
     assert new.converged == old.converged
 
 
-_FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
-              "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
-
-
 @pytest.fixture
 def fft_calls(monkeypatch):
     """Names of the np.fft transforms called from trilinear_forms."""
-    calls = []
-    for name in _FFT_NAMES:
-        original = getattr(np.fft, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            caller = inspect.currentframe().f_back.f_globals.get("__name__")
-            if caller == trilinear_forms.__name__:
-                calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counting)
-    return calls
+    return count_fft_calls(monkeypatch, trilinear_forms)
 
 
 def test_best_constant_transform_count(fft_calls):
