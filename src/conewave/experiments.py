@@ -33,7 +33,7 @@ from .nlw_solver import (CauchyData, Nonlinearity, SolverConfig, energy,
                          strichartz_member, strichartz_summary,
                          strichartz_tasks)
 from .norms import _as_fraction, scaling_law_check, spatial_l2
-from .spectral_grid import PHYSICAL, TWO_PI, GridSpec, SpatialField
+from .spectral_grid import PHYSICAL, TWO_PI, GridSpec, SpatialField, is_dyadic
 from ._regression import fit_power_law
 from .trilinear_forms import AscentConfig, BallConeRegions, best_constant
 
@@ -322,12 +322,12 @@ def run_tasks(name: str, task_kwargs: list, workers: int):
 
 def _grid_from_config(cfg: ExperimentConfig, default_nx=32, default_nt=64) -> GridSpec:
     sec = cfg.section("grid")
-    nx = get_value(sec, "nx", default_nx, section_name="grid")
-    nt = get_value(sec, "nt", default_nt, section_name="grid")
+    nx = get_value(sec, "nx", default_nx, section_name="grid", expect=int)
+    nt = get_value(sec, "nt", default_nt, section_name="grid", expect=int)
     d_xi = float(get_value(sec, "d_xi", 1.0, section_name="grid"))
     d_tau = float(get_value(sec, "d_tau", 1.0, section_name="grid"))
     try:
-        return GridSpec(nx=int(nx), nt=int(nt), spatial_period=TWO_PI / d_xi,
+        return GridSpec(nx=nx, nt=nt, spatial_period=TWO_PI / d_xi,
                         time_period=TWO_PI / d_tau)
     except ValueError as exc:
         raise ConfigError(str(exc), section="grid") from exc
@@ -356,7 +356,7 @@ def _ledger_tasks(cfg: ExperimentConfig):
                                        section_name="params"))
         r_max = _as_fraction(get_value(sec, "r_max", Fraction(2),
                                        section_name="params"))
-        count = int(get_value(sec, "r_count", 50, section_name="params"))
+        count = get_value(sec, "r_count", 50, section_name="params", expect=int)
         if count < 1:
             raise ConfigError("r_count must be >= 1", section="params", key="r_count")
         step = (r_max - r_min) / count
@@ -438,7 +438,7 @@ def _run_volumes(cfg: ExperimentConfig, workers: int, out: Path):
     if case not in VOLUME_CASES:
         raise ConfigError(f"case must be one of {VOLUME_CASES}, got {case!r}",
                           section="params", key="case")
-    samples = int(get_value(sec, "samples", 10 ** 6, section_name="params"))
+    samples = get_value(sec, "samples", 10 ** 6, section_name="params", expect=int)
     tasks = [dict(case=case, axis=axis, values=values, samples=samples,
                   seed=cfg.seed + 1000 * i, base=base)
              for i, (_, axis, values, base)
@@ -491,12 +491,12 @@ def _parse_signs(raw) -> tuple:
 
 def _run_constants(cfg: ExperimentConfig, workers: int, out: Path):
     grid_sec = cfg.section("grid")
-    nx = int(get_value(grid_sec, "nx", 32, section_name="grid"))
-    nt = int(get_value(grid_sec, "nt", 64, section_name="grid"))
+    nx = get_value(grid_sec, "nx", 32, section_name="grid", expect=int)
+    nt = get_value(grid_sec, "nt", 64, section_name="grid", expect=int)
     ascent = cfg.section("ascent")
     r = get_value(ascent, "r", Fraction(2), section_name="ascent")
-    restarts = int(get_value(ascent, "restarts", 6, section_name="ascent"))
-    max_iters = int(get_value(ascent, "max_iters", 60, section_name="ascent"))
+    restarts = get_value(ascent, "restarts", 6, section_name="ascent", expect=int)
+    max_iters = get_value(ascent, "max_iters", 60, section_name="ascent", expect=int)
     tol = float(get_value(ascent, "tol", 1e-7, section_name="ascent"))
     base_signs = _parse_signs(get_value(cfg.section("regions"), "signs", "+ + +",
                                         section_name="regions"))
@@ -640,8 +640,13 @@ def _run_strichartz(cfg: ExperimentConfig, workers: int, out: Path):
     if isinstance(q_t, (bool, str)) or not (math.isfinite(q_t) and q_t >= 4):
         raise ConfigError(f"must be a finite number >= 4, got {sec['q_t']!r}",
                           section="params", key="q_t")
-    resolutions = [int(v) for v in get_list(sec, "resolutions", [32, 64, 128, 256],
-                                            section_name="params")]
+    resolutions = get_list(sec, "resolutions", [32, 64, 128, 256],
+                           section_name="params")
+    if not resolutions or any(type(v) is not int or not is_dyadic(v) or v < 8
+                              for v in resolutions):
+        raise ConfigError(f"must be dyadic integers 2**j >= 8, got "
+                          f"{sec['resolutions']!r}", section="params",
+                          key="resolutions")
     nt = get_value(sec, "nt", 64, section_name="params", expect=int)
     tasks = strichartz_tasks(ensemble, float(q_t), resolutions, cfg.seed, nt=nt)
     ratios, errors = run_tasks("strichartz_member", tasks, workers)

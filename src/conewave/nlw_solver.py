@@ -84,6 +84,11 @@ class Nonlinearity:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Time grid and iteration controls.  With dealias = False the
+    derivative i xi is not Hermitian on the Nyquist row and column, so real
+    data with content there give complex slices (imaginary parts near 1% of
+    the largest value for 16 x 16 random real data)."""
+
     T: float
     n_steps: int
     picard_tol: float = 1e-10
@@ -128,97 +133,117 @@ class PicardReport:
 
 
 # ---------------------------------------------------------------------------
-# half-wave propagator
+# spectral tables and the half-wave propagator
 # ---------------------------------------------------------------------------
 
-def _spectrum(grid: GridSpec, values) -> np.ndarray:
-    return to_frequency(SpatialField(grid, values, PHYSICAL)).values
+# Points (slices x nx^2) of one forcing block: a 16 x 16 trajectory is one
+# block, a 64 x 64 one runs 16 slices at a time.
+_BLOCK_POINTS = 1 << 16
 
 
-def _physical(grid: GridSpec, hat) -> SpatialField:
-    return to_physical(SpatialField(grid, hat, FREQUENCY))
-
-
-def _gradient(grid: GridSpec, hat):
-    """(d/dx1 u, d/dx2 u) as physical arrays, from the spectrum of u."""
+def _spectral(grid: GridSpec, dealias: bool):
+    """(keep, deriv, scale): the 2/3-rule mask or 1, (i xi1, i xi2) times keep,
+    and keep / spatial_transform_factor, which turns the raw forward transform
+    of a product of two raw inverse transforms into the forcing spectrum."""
+    ok = np.abs(np.rint(grid.nx * np.fft.fftfreq(grid.nx))) <= grid.nx // 3
+    keep = np.outer(ok, ok) * 1.0 if dealias else 1.0
     x1, x2 = grid.spatial_frequency_mesh()
-    return (_physical(grid, 1j * x1 * hat).values,
-            _physical(grid, 1j * x2 * hat).values)
+    deriv = np.stack(np.broadcast_arrays(1j * x1, 1j * x2)) * keep
+    return keep, deriv, keep / grid.spatial_transform_factor
 
 
-def _halfwave(k, t: float):
-    """cos(t k) and sin(t k)/k (value t where k = 0) for magnitudes k >= 0."""
+def _ifft(a):
+    """Raw inverse transform over the last two axes, in place."""
+    return np.fft.ifftn(a, axes=(-2, -1), out=a)
+
+
+def _fields(grid: GridSpec, hats) -> tuple:
+    """Physical SpatialFields of the spectra (n, nx, nx); overwrites them."""
+    values = _ifft(hats)
+    values /= grid.spatial_transform_factor
+    return tuple(SpatialField(grid, v, PHYSICAL) for v in values)
+
+
+def _halfwave(k, times):
+    """cos(t k), sin(t k)/k (t where k = 0) and k sin(t k) for magnitudes
+    k >= 0, stacked over times on a leading axis (none for a scalar t)."""
+    t = np.asarray(times, dtype=float)[..., None, None]
     tk = t * k
-    return np.cos(tk), np.divide(np.sin(tk), k, out=np.full_like(k, t), where=k > 0)
+    sin_tk = np.sin(tk)
+    sin_over = np.divide(sin_tk, k, out=t * np.ones_like(tk), where=k > 0)
+    return np.cos(tk), sin_over, k * sin_tk
 
 
 def halfwave_multipliers(grid: GridSpec, t: float):
     """Fourier multipliers cos(t |xi|) and sin(t |xi|)/|xi| (value t at xi = 0)."""
-    return _halfwave(grid.xi_magnitude(), t)
+    return _halfwave(grid.xi_magnitude(), t)[:2]
 
 
-def _free_spectra(data: CauchyData, times):
-    """Yield the free evolution's spectra (u-hat, u_t-hat) at each time, with
-    u_t-hat = cos(tD) g-hat - |xi|^2 D^{-1} sin(tD) f-hat; the data are
-    transformed once."""
-    grid = data.grid
-    fhat = to_frequency(data.f).values
-    ghat = to_frequency(data.g).values
-    k = grid.xi_magnitude()
-    xi_sq = k ** 2
-    for t in times:
-        cos_m, sin_over = _halfwave(k, float(t))
-        yield cos_m * fhat + sin_over * ghat, cos_m * ghat - xi_sq * sin_over * fhat
+def _evolve(tables, f_hat, g_hat) -> np.ndarray:
+    """Stacked spectra (u-hat, u_t-hat), shape (2, n, nx, nx), of the free
+    evolution of data (f-hat, g-hat), one pair or one per time, over the
+    times of the _halfwave tables."""
+    cos_t, sin_over, k_sin = tables
+    out = np.empty((2,) + cos_t.shape, dtype=np.complex128)
+    u, u_t = out
+    np.multiply(cos_t, f_hat, out=u)
+    u += sin_over * g_hat
+    np.multiply(cos_t, g_hat, out=u_t)
+    u_t -= k_sin * f_hat
+    return out
+
+
+def _trajectory(grid: GridSpec, times, hats, provenance: str, meta) -> Trajectory:
+    """Trajectory of the spectra (u-hat, u_t-hat), (2, n, nx, nx); overwrites them."""
+    fields = _fields(grid, hats.reshape((-1,) + grid.spatial_shape))
+    return Trajectory(grid=grid, times=times, u=fields[:len(times)],
+                      u_t=fields[len(times):], provenance=provenance, meta=meta)
 
 
 def free_solution(data: CauchyData, t: float):
     """Homogeneous evolution: (cos(tD) f + D^{-1} sin(tD) g, d/dt of the same)."""
-    return tuple(_physical(data.grid, hat) for hat in next(_free_spectra(data, (t,))))
+    tables = _halfwave(data.grid.xi_magnitude(), (t,))
+    hats = _evolve(tables, to_frequency(data.f).values, to_frequency(data.g).values)
+    return tuple(to_physical(SpatialField(data.grid, hat, FREQUENCY))
+                 for hat in hats[:, 0])
 
 
 def free_trajectory(data: CauchyData, T: float, n_steps: int) -> Trajectory:
     grid = data.grid
     times = T * np.arange(n_steps + 1) / n_steps
-    u, u_t = zip(*[(_physical(grid, u_hat), _physical(grid, ut_hat))
-                   for u_hat, ut_hat in _free_spectra(data, times)])
-    return Trajectory(grid=grid, times=times, u=u, u_t=u_t, provenance="free")
+    hats = _evolve(_halfwave(grid.xi_magnitude(), times),
+                   to_frequency(data.f).values, to_frequency(data.g).values)
+    return _trajectory(grid, times, hats, "free", {})
 
 
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
 
-def _dealias_mask(grid: GridSpec) -> np.ndarray:
-    keep = grid.nx // 3
-    idx = np.rint(grid.nx * np.fft.fftfreq(grid.nx)).astype(int)
-    ok = np.abs(idx) <= keep
-    return ok[:, None] & ok[None, :]
-
-
-def _forcing_hat(grid: GridSpec, u_hat, ut_hat, kind: Nonlinearity, mask):
-    """Spectrum of the quadratic forcing from the spectra of u and u_t; mask
-    (the 2/3 rule, or None) truncates both inputs and the product."""
+def _forcing_hat(spectral, u_hat, ut_hat, kind: Nonlinearity):
+    """Forcing spectra from spectra of u and u_t of any leading shape
+    (..., nx, nx): one batched inverse and one forward transform, in place.
+    With de-aliasing the 2/3 mask truncates both inputs and the product."""
+    keep, deriv, scale = spectral
     if kind.kind == NO_FORCING:
-        return np.zeros(grid.spatial_shape, dtype=np.complex128)
-    if mask is not None:
-        u_hat = u_hat * mask
-        ut_hat = ut_hat * mask
-    if kind.kind == DERIV_OF_SQUARE:
-        u = _physical(grid, u_hat).values
-        if kind.direction == "t":
-            out_hat = _spectrum(grid, 2.0 * u * _physical(grid, ut_hat).values)
-        else:
-            x1, x2 = grid.spatial_frequency_mesh()
-            mult = x1 if kind.direction == "x1" else x2
-            out_hat = 1j * mult * _spectrum(grid, u ** 2)
+        return np.zeros(u_hat.shape, dtype=np.complex128)
+    if kind.kind == DERIV_OF_SQUARE and kind.direction == "t":
+        stack = _ifft(np.stack((u_hat, ut_hat), axis=-3) * keep)
+        product = 2.0 * stack[..., 0, :, :] * stack[..., 1, :, :]
+    elif kind.kind == DERIV_OF_SQUARE:
+        product = np.square(_ifft(u_hat * keep))
+        scale = deriv[0 if kind.direction == "x1" else 1] * scale
     else:
-        g1, g2 = _gradient(grid, u_hat)
-        if kind.kind == SPATIAL_GRAD_SQUARE:
-            out = g1 ** 2 + g2 ** 2
-        else:
-            out = _physical(grid, ut_hat).values ** 2 + g1 ** 2 + g2 ** 2
-        out_hat = _spectrum(grid, out)
-    return out_hat if mask is None else out_hat * mask
+        n_ut = int(kind.kind == FULL_GRAD_SQUARE)  # u_t leads the stack
+        stack = np.empty(u_hat.shape[:-2] + (n_ut + 2,) + u_hat.shape[-2:],
+                         dtype=np.complex128)
+        np.multiply(deriv, u_hat[..., None, :, :], out=stack[..., n_ut:, :, :])
+        if n_ut:
+            np.multiply(ut_hat, keep, out=stack[..., 0, :, :])
+        product = np.square(_ifft(stack), out=stack).sum(axis=-3)
+    product = np.fft.fftn(product, axes=(-2, -1), out=product)
+    product *= scale
+    return product
 
 
 def nonlinearity_eval(u: SpatialField, u_t: SpatialField, kind: Nonlinearity,
@@ -226,10 +251,9 @@ def nonlinearity_eval(u: SpatialField, u_t: SpatialField, kind: Nonlinearity,
     """Evaluate the quadratic forcing in physical space."""
     if u.rep != PHYSICAL or u_t.rep != PHYSICAL:
         raise ValueError("nonlinearity_eval expects physical-representation fields")
-    grid = u.grid
-    mask = _dealias_mask(grid) if dealias else None
-    return _physical(grid, _forcing_hat(grid, to_frequency(u).values,
-                                        to_frequency(u_t).values, kind, mask))
+    hat = _forcing_hat(_spectral(u.grid, dealias), to_frequency(u).values,
+                       to_frequency(u_t).values, kind)
+    return _fields(u.grid, hat[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,103 +281,86 @@ def duhamel_apply(times, forces, k: int, derivative: bool = False) -> SpatialFie
     k_mag = grid.xi_magnitude()
     for j in range(k + 1):
         fhat = to_frequency(forces[j]).values
-        dt_ = t_k - times[j]
-        if derivative:
-            mult = np.cos(dt_ * k_mag)
-        else:
-            _, mult = _halfwave(k_mag, dt_)
+        cos_m, sin_over, _ = _halfwave(k_mag, t_k - times[j])
         weight = 0.5 if j in (0, k) else 1.0
-        acc += weight * mult * fhat
+        acc += weight * (cos_m if derivative else sin_over) * fhat
     acc *= (times[k] - times[0]) / k
     return to_physical(SpatialField(grid, acc, FREQUENCY))
 
 
-def _duhamel_sweep(grid: GridSpec, times, force_hats):
-    """Yield the spectra of the Duhamel terms (u, u_t) at t_0, t_1, ...
+def _trapezoid_sums(a, h: float):
+    """Overwrite the stack a with its trapezoid sums times h over slices
+    0..k, for every k.  np.cumsum along the leading axis is 9x slower than
+    this loop over 64 x 64 slices."""
+    a[1:] += a[:-1]
+    a[0] = 0.0
+    a *= 0.5 * h
+    for prev, cur in zip(a, a[1:]):
+        cur += prev
+    return a
 
-    Equal to duhamel_apply(times, forces, k, derivative) for every k, but in
-    one pass over the force spectra.  The addition theorems
-    sin((t_k - t')D) = sin(t_k D) cos(t'D) - cos(t_k D) sin(t'D) and
-    cos((t_k - t')D) = cos(t_k D) cos(t'D) + sin(t_k D) sin(t'D)
-    turn both trapezoid sums into running sums of cos(t_j D) F_j-hat and
-    sin(t_j D) F_j-hat; the xi = 0 mode, where D^{-1} sin(tD) = t, runs on
-    sums of F_j-hat and t_j F_j-hat.  force_hats may be lazy: force k is
-    read just before slice k is yielded, and only O(nx^2) state is kept.
-    Expects uniform slice times from 0.
-    """
-    k_mag = grid.xi_magnitude()
-    zero = k_mag == 0
-    inv_mag = np.divide(1.0, k_mag, out=np.zeros_like(k_mag), where=~zero)
-    for k, fhat in enumerate(force_hats):
-        t = times[k]
-        cos_t = np.cos(t * k_mag)
-        sin_t = np.sin(t * k_mag)
-        terms = (cos_t * fhat, sin_t * fhat, fhat[zero], t * fhat[zero])
-        if k == 0:
-            sums = [0.5 * term for term in terms]
-            yield np.zeros(grid.spatial_shape), np.zeros(grid.spatial_shape)
-            continue
-        # trapezoid over slices 0..k: the running sums plus half of slice k
-        c, s, m0, m1 = (acc + 0.5 * term for acc, term in zip(sums, terms))
-        h = t / k
-        u_hat = h * (sin_t * c - cos_t * s) * inv_mag
-        u_hat[zero] = h * (t * m0 - m1)
-        yield u_hat, h * (cos_t * c + sin_t * s)
-        for acc, term in zip(sums, terms):
-            acc += term
+
+def _duhamel_data(h: float, tables, force_hat):
+    """Data (f_k, g_k) whose free evolution over t_k is the Duhamel term at
+    t_k, for force spectra at the times t_j = j h of the _halfwave tables
+    (the duhamel_apply quadrature at every k).  By the addition theorems for
+    sin((t_k - t')D) and cos((t_k - t')D), f_k and g_k are the trapezoid
+    sums over slices 0..k of -D^{-1} sin(t_j D) F_j-hat and
+    cos(t_j D) F_j-hat; at xi = 0, of -t_j F_j-hat and F_j-hat.  force_hat
+    is overwritten."""
+    cos_t, sin_over, _ = tables
+    f_k = _trapezoid_sums(sin_over * force_hat, -h)
+    return f_k, _trapezoid_sums(np.multiply(cos_t, force_hat, out=force_hat), h)
 
 
 # ---------------------------------------------------------------------------
 # solvers
 # ---------------------------------------------------------------------------
 
-def _traj_l2(grid, slices_a, slices_b=None):
-    """Quadrature L2 norm over all slices, from their spectra (Plancherel)."""
-    total = 0.0
-    # overflow to inf is fine here: a diverging iterate shows up as an
-    # infinite residual and stops the iteration
-    with np.errstate(over="ignore"):
-        for j, a in enumerate(slices_a):
-            d = a if slices_b is None else a - slices_b[j]
-            total += float(np.sum(np.abs(d) ** 2))
-    return math.sqrt(total * grid.spatial_freq_cell)
+def _l2(grid: GridSpec, hats) -> float:
+    """Quadrature L2 norm of a stack of spectra (Plancherel); inf or nan on overflow."""
+    return math.sqrt(np.vdot(hats, hats).real * grid.spatial_freq_cell)
 
 
 def picard_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig):
     """Fixed-point iteration on the integral solution map, from the free solution.
 
     Returns the last iterate and a report; non-convergence is reported, not
-    raised (it signals leaving the contraction regime).
+    raised (it signals leaving the contraction regime).  The next iterate
+    is the free evolution of the data plus the Duhamel data of the forcing,
+    which is taken over blocks of slices to bound the temporaries.
     """
     grid = data.grid
     times = config.times
-    mask = _dealias_mask(grid) if config.dealias else None
-    free_u, free_ut = zip(*_free_spectra(data, times))
-    u, u_t = free_u, free_ut
+    spectral = _spectral(grid, config.dealias)
+    tables = _halfwave(grid.xi_magnitude(), times)
+    f_hat, g_hat = to_frequency(data.f).values, to_frequency(data.g).values
+    h = config.T / config.n_steps
+    block = max(1, _BLOCK_POINTS // grid.nx ** 2)
+    w = _evolve(tables, f_hat, g_hat)
     residuals = []
     converged = False
     for _ in range(config.picard_max):
-        forces = (_forcing_hat(grid, a, b, kind, mask) for a, b in zip(u, u_t))
-        new_u = []
-        new_ut = []
-        for fu, fut, (du, dut) in zip(free_u, free_ut,
-                                      _duhamel_sweep(grid, times, forces)):
-            new_u.append(fu + du)
-            new_ut.append(fut + dut)
-        scale = _traj_l2(grid, new_u) + _traj_l2(grid, new_ut)
-        diff = _traj_l2(grid, new_u, u) + _traj_l2(grid, new_ut, u_t)
+        force = np.empty_like(w[0])
+        for j in range(0, len(times), block):
+            force[j:j + block] = _forcing_hat(spectral, w[0, j:j + block],
+                                              w[1, j:j + block], kind)
+        f_k, g_k = _duhamel_data(h, tables, force)
+        f_k += f_hat
+        g_k += g_hat
+        new = _evolve(tables, f_k, g_k)
+        del force, f_k, g_k  # not live during the next forcing
+        scale = _l2(grid, new[0]) + _l2(grid, new[1])
+        diff = _l2(grid, new[0] - w[0]) + _l2(grid, new[1] - w[1])
         resid = diff / max(scale, 1e-300)
         residuals.append(resid)
-        u, u_t = new_u, new_ut
+        w = new
         if resid < config.picard_tol:
             converged = True
             break
         if not math.isfinite(resid):
             break
-    traj = Trajectory(grid=grid, times=times,
-                      u=tuple(_physical(grid, h) for h in u),
-                      u_t=tuple(_physical(grid, h) for h in u_t),
-                      provenance="picard", meta={"iterations": len(residuals)})
+    traj = _trajectory(grid, times, w, "picard", {"iterations": len(residuals)})
     return traj, PicardReport(residuals=tuple(residuals), converged=converged)
 
 
@@ -366,20 +373,18 @@ def rk4_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig) -> Tra
     grid = data.grid
     x1, x2 = grid.spatial_frequency_mesh()
     lap = -(x1 ** 2 + x2 ** 2)
-    mask = _dealias_mask(grid) if config.dealias else None
+    spectral = _spectral(grid, config.dealias)
 
     def rhs(u_hat, v_hat):
-        return v_hat, lap * u_hat + _forcing_hat(grid, u_hat, v_hat, kind, mask)
+        return v_hat, lap * u_hat + _forcing_hat(spectral, u_hat, v_hat, kind)
 
     dt = config.T / config.n_steps
-    u_hat = to_frequency(data.f).values
-    v_hat = to_frequency(data.g).values
-    times = config.times
-    u_slices = [_physical(grid, u_hat)]
-    ut_slices = [_physical(grid, v_hat)]
+    u_hat, v_hat = to_frequency(data.f).values, to_frequency(data.g).values
+    hats = np.empty((2, config.n_steps + 1) + grid.spatial_shape, dtype=np.complex128)
+    hats[:, 0] = u_hat, v_hat
     init_scale = max(float(np.abs(u_hat).max()), float(np.abs(v_hat).max()), 1e-30)
     unstable = False
-    for _ in range(config.n_steps):
+    for step in range(1, config.n_steps + 1):
         k1u, k1v = rhs(u_hat, v_hat)
         k2u, k2v = rhs(u_hat + 0.5 * dt * k1u, v_hat + 0.5 * dt * k1v)
         k3u, k3v = rhs(u_hat + 0.5 * dt * k2u, v_hat + 0.5 * dt * k2v)
@@ -389,18 +394,16 @@ def rk4_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig) -> Tra
         top = max(float(np.abs(u_hat).max()), float(np.abs(v_hat).max()))
         if not math.isfinite(top) or top > 1e12 * init_scale:
             unstable = True
-        u_slices.append(_physical(grid, u_hat))
-        ut_slices.append(_physical(grid, v_hat))
-    return Trajectory(grid=grid, times=times, u=tuple(u_slices),
-                      u_t=tuple(ut_slices), provenance="rk4",
-                      meta={"unstable": unstable})
+        hats[:, step] = u_hat, v_hat
+    return _trajectory(grid, config.times, hats, "rk4", {"unstable": unstable})
 
 
 def energy(u: SpatialField, u_t: SpatialField) -> float:
     """Free-evolution conserved quantity (1/2) sum (u_t^2 + |grad u|^2) dx^2."""
     if u.rep != PHYSICAL or u_t.rep != PHYSICAL:
         raise ValueError("energy expects physical-representation fields")
-    g1, g2 = _gradient(u.grid, to_frequency(u).values)
+    deriv = _spectral(u.grid, dealias=False)[1]
+    g1, g2 = _ifft(deriv * to_frequency(u).values) / u.grid.spatial_transform_factor
     dens = np.abs(u_t.values) ** 2 + np.abs(g1) ** 2 + np.abs(g2) ** 2
     return 0.5 * float(np.sum(dens)) * u.grid.spatial_phys_cell
 
@@ -470,11 +473,8 @@ def existence_probe(data_family, kind: Nonlinearity, config: SolverConfig,
     amplitude -> CauchyData.  When the sweep brackets a loss of convergence
     the threshold is refined by bisection.
     """
-    if isinstance(data_family, CauchyData):
-        base = data_family
-        family = base.scaled
-    else:
-        family = data_family
+    family = (data_family.scaled if isinstance(data_family, CauchyData)
+              else data_family)
     amplitudes = list(amplitudes)
     if any(b <= a for a, b in zip(amplitudes, amplitudes[1:])):
         raise ValueError("amplitudes must be strictly increasing")
@@ -489,8 +489,7 @@ def existence_probe(data_family, kind: Nonlinearity, config: SolverConfig,
         records.append({"amplitude": a, "converged": rep.converged,
                         "iterations": len(rep.residuals),
                         "final_residual": rep.residuals[-1] if rep.residuals else 0.0})
-    lo = None
-    hi = None
+    lo = hi = None
     for rec in records:
         if rec["converged"]:
             lo = rec["amplitude"]

@@ -367,7 +367,8 @@ def test_cli_rejects_mistyped_solve_param(tmp_path, capsys, key, raw):
 
 @pytest.mark.parametrize("key, raw", [("ensemble", "2.7"), ("ensemble", "0"),
                                       ("nt", "64.5"), ("q_t", "2"),
-                                      ("q_t", "inf")])
+                                      ("q_t", "inf"), ("resolutions", "32.7 64"),
+                                      ("resolutions", "48 64")])
 def test_cli_rejects_bad_strichartz_param(tmp_path, capsys, key, raw):
     text = (CONFIG_DIR / "strichartz.ini").read_text(encoding="utf-8")
     lines = [f"{key} = {raw}" if line.startswith(f"{key} =") else line
@@ -378,6 +379,28 @@ def test_cli_rejects_bad_strichartz_param(tmp_path, capsys, key, raw):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "config"
     assert (record["section"], record["key"]) == ("params", key)
+    assert raw in record["message"]
+
+
+@pytest.mark.parametrize("config, section, key, raw", [
+    ("volumes_hard.ini", "params", "samples", "2000.5"),
+    ("constants.ini", "ascent", "restarts", "1.5"),
+    ("constants.ini", "ascent", "max_iters", "80.5"),
+    ("constants.ini", "grid", "nx", "32.0"),
+    ("ledger.ini", "params", "r_count", "50.5"),
+    ("solve.ini", "grid", "nt", "8.5")])
+def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw):
+    text = (CONFIG_DIR / config).read_text(encoding="utf-8")
+    lines = [f"{key} = {raw}" if line.startswith(f"{key} =") else line
+             for line in text.splitlines()]
+    path = write_config(tmp_path, "\n".join(lines) + "\n")
+    kind = load_config(CONFIG_DIR / config).kind
+    rc = cli_main([kind, "--config", str(path), "--workers", "1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert (record["section"], record["key"]) == (section, key)
     assert raw in record["message"]
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from conewave import (FREQUENCY, PHYSICAL, CauchyData, GridSpec, Nonlinearity,
                       nonlinearity_eval, picard_solve, random_data, rk4_solve,
                       wave_admissible)
 from conewave import nlw_solver, spectral_grid
-from conewave.nlw_solver import (_duhamel_sweep, free_trajectory,
-                                  gradient_magnitude_trajectory,
+from conewave.nlw_solver import (_duhamel_data, _evolve, _halfwave,
+                                  free_trajectory, gradient_magnitude_trajectory,
                                   strichartz_ratio)
 from conewave.norms import fl_norm, spatial_l2
 from conewave.spectral_grid import to_frequency, to_physical
@@ -300,43 +301,85 @@ def test_duhamel_constant_mode_closed_form_and_order():
 @pytest.mark.parametrize("n_steps", [7, 24])
 def test_duhamel_sweep_matches_single_slice_reference(n_steps):
     # time-varying random forces with a nonzero, time-dependent mean, so the
-    # xi = 0 branch is exercised alongside the addition-theorem sums
+    # xi = 0 sums are exercised alongside the addition-theorem sums
     grid = make_grid(nx=16)
     times = 0.7 * np.arange(n_steps + 1) / n_steps
     rng = np.random.default_rng(n_steps)
     forces = [SpatialField(grid, rng.standard_normal(grid.spatial_shape)
                            + 1.0 + 2.0 * t * math.cos(3.0 * t), PHYSICAL)
               for t in times]
-    hats = [to_frequency(force).values for force in forces]
-    slices = list(_duhamel_sweep(grid, times, hats))
-    assert len(slices) == n_steps + 1
-    for k, swept in enumerate(slices):
-        for derivative, hat in zip((False, True), swept):
+    hats = np.array([to_frequency(force).values for force in forces])
+    tables = _halfwave(grid.xi_magnitude(), times)
+    swept = _evolve(tables, *_duhamel_data(times[1], tables, hats))
+    assert swept.shape == (2, n_steps + 1) + grid.spatial_shape
+    for derivative, stack in zip((False, True), swept):
+        for k, hat in enumerate(stack):
             got = to_physical(SpatialField(grid, hat, FREQUENCY)).values
             want = duhamel_apply(times, forces, k, derivative=derivative).values
             err = np.abs(got - want).max()
             assert err <= 1e-13 * np.abs(want).max()
 
 
-def test_picard_transform_count_linear_in_steps(transform_calls):
-    # 2 for the data, 3 per forcing, 2 per output slice: 87 at n_steps = 16
+KINDS = [Nonlinearity("spatial_grad_square"), Nonlinearity("full_grad_square"),
+         Nonlinearity("deriv_of_square", "t"), Nonlinearity("deriv_of_square", "x1"),
+         Nonlinearity("deriv_of_square", "x2"), Nonlinearity("none")]
+KIND_IDS = ["spatial_grad_square", "full_grad_square", "dt", "dx1", "dx2", "none"]
+
+
+def picard_map(data, kind, cfg, u, u_t):
+    """One application of the integral solution map to the physical slices
+    (u, u_t), from free_trajectory, nonlinearity_eval and duhamel_apply."""
+    free = free_trajectory(data, cfg.T, cfg.n_steps)
+    forces = [nonlinearity_eval(a, b, kind, cfg.dealias) for a, b in zip(u, u_t)]
+    return tuple([fld.with_values(fld.values + duhamel_apply(
+                      cfg.times, forces, k, derivative).values)
+                  for k, fld in enumerate(slices)]
+                 for derivative, slices in ((False, free.u), (True, free.u_t)))
+
+
+@pytest.mark.parametrize("n_steps", [7, 24])
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+def test_picard_iterates_match_single_slice_map(kind, dealias, n_steps):
+    grid = make_grid(nx=16)
+    data = random_data(grid, s=1.75, r=2, seed=n_steps, band_limit=5.0).scaled(0.3)
+    cfg = SolverConfig(T=0.5, n_steps=n_steps, picard_tol=1e-300, dealias=dealias)
+    free = free_trajectory(data, cfg.T, cfg.n_steps)
+    u, u_t = free.u, free.u_t
+    for m in (1, 2, 3):
+        u, u_t = picard_map(data, kind, cfg, u, u_t)
+        traj, _ = picard_solve(data, kind, replace(cfg, picard_max=m))
+        for got, want in ((traj.u, u), (traj.u_t, u_t)):
+            got = np.array([fld.values for fld in got])
+            want = np.array([fld.values for fld in want])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_picard_transform_count_linear_in_steps(transform_calls, monkeypatch):
+    # the data are transformed once; an iteration is one batched inverse and
+    # one batched forward transform, and the output one batched inverse
+    fft_calls = count_fft_calls(monkeypatch, nlw_solver)
     data = mode_data(make_grid(), amplitude=0.1)
-    counts = []
+    calls = []
     for n_steps in (16, 32):
         transform_calls.clear()
+        fft_calls.clear()
         cfg = SolverConfig(T=0.2, n_steps=n_steps, picard_max=1)
         picard_solve(data, Nonlinearity("spatial_grad_square"), cfg)
-        counts.append(len(transform_calls))
-    assert counts[0] <= 90
-    assert counts[1] / counts[0] <= 2.2
+        assert transform_calls == ["forward", "forward"]
+        calls.append(list(fft_calls))
+    assert calls[0] == calls[1] == ["ifftn", "fftn", "ifftn"]
 
 
-def test_rk4_transform_count(transform_calls):
-    # 2 for the data, 4 per right-hand side, 2 per output slice: 292
+def test_rk4_transform_count(transform_calls, monkeypatch):
+    # the data are transformed once, each right-hand side is one batched
+    # inverse and one forward transform, the output one batched inverse
+    fft_calls = count_fft_calls(monkeypatch, nlw_solver)
     data = mode_data(make_grid(), amplitude=0.1)
     cfg = SolverConfig(T=0.2, n_steps=16)
     rk4_solve(data, Nonlinearity("full_grad_square"), cfg)
-    assert len(transform_calls) <= 300
+    assert transform_calls == ["forward", "forward"]
+    assert fft_calls == ["ifftn", "fftn"] * 4 * cfg.n_steps + ["ifftn"]
 
 
 def test_gradient_magnitude_transform_count(transform_calls, monkeypatch):
