@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .norms import _as_fraction
+from .norms import LebesgueExponents, _as_fraction
+from .trilinear_forms import EstimateForm
 
 GLOBAL = "global"
 HLH_SMALL_L2 = "HLH_small_L2"
@@ -26,23 +27,17 @@ _REL = {">": Fraction.__gt__, ">=": Fraction.__ge__, "<": Fraction.__lt__}
 
 
 @dataclass(frozen=True)
-class LedgerParams:
+class LedgerParams(LebesgueExponents):
     """Exact-rational (r, sigma, b, eps) tuple with derived p and s."""
 
-    r: Fraction
     sigma: Fraction
     b: Fraction
     eps: Fraction
 
     def __post_init__(self):
-        for name in ("r", "sigma", "b", "eps"):
+        super().__post_init__()
+        for name in ("sigma", "b", "eps"):
             object.__setattr__(self, name, _as_fraction(getattr(self, name)))
-        if not (1 < self.r <= 2):
-            raise ValueError(f"r must lie in (1, 2], got {self.r}")
-
-    @property
-    def p(self) -> Fraction:
-        return self.r / (self.r - 1)
 
     @property
     def s(self) -> Fraction:
@@ -96,9 +91,16 @@ def _summation_checks(case_id, A, B, strict: bool):
     return checks
 
 
+def _hlh_exponents(kind, r) -> dict:
+    """EstimateForm exponents plus "total", their sum N1/r at coincident N."""
+    e = EstimateForm(kind).exponents(r)
+    e["total"] = e["N_min_012"] + e["N_min_12"]
+    return e
+
+
 def check_case(params: LedgerParams, case: str):
     """Exact inequality set for one interaction case.  Returns InequalityChecks."""
-    r, sig, b, eps, p = params.r, params.sigma, params.b, params.eps, params.p
+    r, sig, b, eps = params.r, params.sigma, params.b, params.eps
     if case == GLOBAL:
         return [
             _check(case, "r_above_three_halves", r, ">", Fraction(3, 2)),
@@ -108,35 +110,37 @@ def check_case(params: LedgerParams, case: str):
             _check(case, "eps_below_one_minus_b", eps, "<", 1 - b),
             _check(case, "time_gain_exponent_negative", b + eps - 1, "<", 0),
         ]
+    # the small-L2 cases close with the hard HLH row, large L2 with the easy one
+    hard, easy = _hlh_exponents("hard", r), _hlh_exponents("easy", r)
     if case == HLH_SMALL_L2:
         checks = [
-            _check(case, "L1_sum_converges", 1 / r - b, "<", 0),
-            _check(case, "L2_sum_converges", Fraction(1, 2) / r - b, "<", 0),
+            _check(case, "L1_sum_converges", hard["L_min"] - b, "<", 0),
+            _check(case, "L2_sum_converges", hard["L_max"] - b, "<", 0),
         ]
-        checks += _summation_checks(case, A=Fraction(3, 2) / r - sig,
+        checks += _summation_checks(case, A=hard["total"] - sig,
                                     B=Fraction(0), strict=False)
         return checks
     if case == HLH_LARGE_L2:
-        checks = [_check(case, "L1_sum_converges", 1 / r - b, "<", 0)]
-        checks += _summation_checks(case, A=2 / r - b - sig, B=Fraction(0),
-                                    strict=False)
+        checks = [_check(case, "L1_sum_converges", easy["L_min"] - b, "<", 0)]
+        checks += _summation_checks(case, A=easy["total"] - b - sig,
+                                    B=Fraction(0), strict=False)
         return checks
     if case == LHH_SMALL_L2:
-        A = 1 / p + sig
-        B = 2 * sig - Fraction(3, 2) / r + 1 / p
+        A = hard["N_min_012"] + sig
+        B = 2 * sig - hard["N_min_12"]
         checks = _summation_checks(case, A=A, B=B, strict=True)
         # the two strict conditions restated in the reduced forms they are
         # quoted in; reported separately, not merged
         checks.append(_check(case, "reduced_two_sigma_bound",
-                             2 * sig, ">", Fraction(3, 2) / r - 1 / p))
+                             2 * sig, ">", hard["N_min_12"]))
         checks.append(_check(case, "reduced_sigma_bound",
-                             sig, ">", Fraction(3, 2) / r))
+                             sig, ">", hard["total"]))
         return checks
     if case == LHH_LARGE_L2:
-        high_exp = 2 * sig - 2 / r + 2 / p - (2 * r / p - 1) * b
+        high_exp = 2 * sig - easy["N_min_12"] - (2 * r - 3) * b
         return [
             _check(case, "high_frequency_exponent_positive", high_exp, ">", 0),
-            _check(case, "exponent_gap_positive", sig - 2 / r + b, ">", 0),
+            _check(case, "exponent_gap_positive", sig - easy["total"] + b, ">", 0),
         ]
     raise ValueError(f"unknown case {case!r}; choose from {CASES}")
 
@@ -186,13 +190,12 @@ def feasible_b(r, sigma) -> FeasibleInterval:
     sigma = _as_fraction(sigma)
     if not (Fraction(3, 2) < r <= 2):
         return FeasibleInterval(lo=None, hi=None)
-    p = r / (r - 1)
+    hard, easy = _hlh_exponents("hard", r), _hlh_exponents("easy", r)
     # non-b conditions (dyadic summation in the HLH and LHH small-L2 cases)
-    if not (sigma > Fraction(3, 2) / r):
+    if not (sigma > hard["total"]):
         return FeasibleInterval(lo=None, hi=None)
-    lo = max(1 / r, 2 / r - sigma)
-    coeff = 2 * r / p - 1          # equals 2r - 3 > 0 on (3/2, 2]
-    hi = min(Fraction(1), (2 * sigma - 2 / r + 2 / p) / coeff)
+    lo = max(1 / r, easy["total"] - sigma)
+    hi = min(Fraction(1), (2 * sigma - easy["N_min_12"]) / (2 * r - 3))  # 2r - 3 > 0
     if lo >= hi:
         return FeasibleInterval(lo=None, hi=None)
     return FeasibleInterval(lo=lo, hi=hi)

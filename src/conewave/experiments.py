@@ -15,9 +15,9 @@ import csv
 import datetime
 import hashlib
 import json
-import math
 import multiprocessing
 import os
+import sys
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from .dyadic_ledger import feasible_b
-from .frequency_geometry import VOLUME_CASES, volume_exponent_fit
+from .frequency_geometry import (HLH_HARD, VOLUME_CASES, VOLUME_EXPONENTS,
+                                 volume_exponent_fit)
 from .nlw_solver import (CauchyData, Nonlinearity, SolverConfig, energy,
                          picard_solve, random_data, rk4_solve,
                          strichartz_member, strichartz_summary,
@@ -137,32 +138,31 @@ def _parse_scalar(raw: str):
         return False
     if low in ("2pi", "2*pi"):
         return TWO_PI
-    if low in ("inf", "infinity"):
-        return math.inf
-    if "/" in raw:
-        return Fraction(raw)
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+    for parse in (int, float, Fraction):
+        try:
+            return parse(raw)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return raw
 
 
-_TYPE_NAMES = {bool: "a boolean", int: "an integer"}
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number"}
 
 
 def get_value(section: dict, key: str, default=None, required=False,
               section_name="", expect=None):
-    """Parsed value of key; with expect (bool or int) any other type is a
-    ConfigError, so "maybe" is not a boolean and 64.5 is not an integer."""
+    """Parsed value of key; with expect (bool, int or float) any other type is
+    a ConfigError, so "maybe" is not a boolean, 64.5 is not an integer and
+    nan is not a float; expect=float also takes ints and rationals."""
     if key not in section:
         if required:
             raise ConfigError("missing required key", section=section_name, key=key)
         return default
     value = _parse_scalar(section[key])
+    if expect is float:
+        finite = (type(value) in (int, float, Fraction)
+                  and abs(value) <= sys.float_info.max)
+        value = float(value) if finite else None
     if expect is not None and type(value) is not expect:
         raise ConfigError(f"must be {_TYPE_NAMES[expect]}, got {section[key]!r}",
                           section=section_name, key=key)
@@ -324,8 +324,8 @@ def _grid_from_config(cfg: ExperimentConfig, default_nx=32, default_nt=64) -> Gr
     sec = cfg.section("grid")
     nx = get_value(sec, "nx", default_nx, section_name="grid", expect=int)
     nt = get_value(sec, "nt", default_nt, section_name="grid", expect=int)
-    d_xi = float(get_value(sec, "d_xi", 1.0, section_name="grid"))
-    d_tau = float(get_value(sec, "d_tau", 1.0, section_name="grid"))
+    d_xi = get_value(sec, "d_xi", 1.0, section_name="grid", expect=float)
+    d_tau = get_value(sec, "d_tau", 1.0, section_name="grid", expect=float)
     try:
         return GridSpec(nx=nx, nt=nt, spatial_period=TWO_PI / d_xi,
                         time_period=TWO_PI / d_tau)
@@ -369,7 +369,7 @@ def _ledger_tasks(cfg: ExperimentConfig):
     tasks = []
     for r in r_values:
         pts = list(s_values)
-        pts += [Fraction(3, 2) / r + 1 + off for off in s_offsets]
+        pts += [VOLUME_EXPONENTS[HLH_HARD]["N1"] / r + 1 + off for off in s_offsets]
         for s in pts:
             tasks.append(dict(r_num=r.numerator, r_den=r.denominator,
                               s_num=s.numerator, s_den=s.denominator))
@@ -497,7 +497,7 @@ def _run_constants(cfg: ExperimentConfig, workers: int, out: Path):
     r = get_value(ascent, "r", Fraction(2), section_name="ascent")
     restarts = get_value(ascent, "restarts", 6, section_name="ascent", expect=int)
     max_iters = get_value(ascent, "max_iters", 60, section_name="ascent", expect=int)
-    tol = float(get_value(ascent, "tol", 1e-7, section_name="ascent"))
+    tol = get_value(ascent, "tol", 1e-7, section_name="ascent", expect=float)
     base_signs = _parse_signs(get_value(cfg.section("regions"), "signs", "+ + +",
                                         section_name="regions"))
     alt_raw = get_value(cfg.section("regions"), "compare_signs", None,
@@ -565,12 +565,13 @@ def _run_solve(cfg: ExperimentConfig, workers: int, out: Path):
                           section_name="params")
     direction = get_value(sec, "direction", None, section_name="params")
     kind = Nonlinearity(kind_name, direction)
-    amplitude = float(get_value(sec, "amplitude", 1e-3, section_name="params"))
+    amplitude = get_value(sec, "amplitude", 1e-3, section_name="params", expect=float)
     mode = get_list(sec, "mode", [1, 0], section_name="params")
-    T = float(get_value(sec, "t_final", 0.1, section_name="params"))
+    T = get_value(sec, "t_final", 0.1, section_name="params", expect=float)
     solver_cfg = SolverConfig(
         T=T, n_steps=get_value(sec, "n_steps", 64, section_name="params", expect=int),
-        picard_tol=float(get_value(sec, "picard_tol", 1e-10, section_name="params")),
+        picard_tol=get_value(sec, "picard_tol", 1e-10, section_name="params",
+                             expect=float),
         picard_max=get_value(sec, "picard_max", 30, section_name="params", expect=int),
         dealias=get_value(sec, "dealias", True, section_name="params", expect=bool))
     data = _single_mode_data(grid, mode, amplitude)
@@ -612,8 +613,8 @@ def _run_scaling(cfg: ExperimentConfig, workers: int, out: Path):
     if len(s_list) != len(r_list):
         raise ConfigError("s and r lists must zip", section="params", key="r")
     lams = get_list(sec, "lambda", [2, 4], section_name="params")
-    band = float(get_value(sec, "band_limit", grid.d_xi * (grid.nx // 4),
-                           section_name="params"))
+    band = get_value(sec, "band_limit", grid.d_xi * (grid.nx // 4),
+                     section_name="params", expect=float)
     records = []
     for s, r in zip(s_list, r_list):
         data = random_data(grid, float(s), _as_fraction(r), cfg.seed, band)
@@ -636,9 +637,9 @@ def _run_strichartz(cfg: ExperimentConfig, workers: int, out: Path):
     if ensemble < 1:
         raise ConfigError(f"must be >= 1, got {sec['ensemble']!r}",
                           section="params", key="ensemble")
-    q_t = get_value(sec, "q_t", 4.0, section_name="params")
-    if isinstance(q_t, (bool, str)) or not (math.isfinite(q_t) and q_t >= 4):
-        raise ConfigError(f"must be a finite number >= 4, got {sec['q_t']!r}",
+    q_t = get_value(sec, "q_t", 4.0, section_name="params", expect=float)
+    if q_t < 4:
+        raise ConfigError(f"must be >= 4, got {sec['q_t']!r}",
                           section="params", key="q_t")
     resolutions = get_list(sec, "resolutions", [32, 64, 128, 256],
                            section_name="params")
@@ -648,7 +649,7 @@ def _run_strichartz(cfg: ExperimentConfig, workers: int, out: Path):
                           f"{sec['resolutions']!r}", section="params",
                           key="resolutions")
     nt = get_value(sec, "nt", 64, section_name="params", expect=int)
-    tasks = strichartz_tasks(ensemble, float(q_t), resolutions, cfg.seed, nt=nt)
+    tasks = strichartz_tasks(ensemble, q_t, resolutions, cfg.seed, nt=nt)
     ratios, errors = run_tasks("strichartz_member", tasks, workers)
     probe = strichartz_summary(tasks, ratios)
     files = [emit_results(probe.records, "csv", out / "ratios.csv",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
@@ -447,6 +448,14 @@ LHH_SECTOR_S2 = "LHH_sector_S2"
 
 VOLUME_CASES = (HLH_HARD, HLH_EASY, LHH_SECTOR_S1, LHH_SECTOR_S2)
 
+# Exact exponents of the HLH bound shapes N1^N1 * min(L)^L1 * max(L)^L2
+# (hard: L2 <= N1; easy: large L2).  low is the low-frequency dimension, which
+# the best-constant exponents (EstimateForm.exponents) carry through p = r'.
+VOLUME_EXPONENTS = {
+    HLH_HARD: {"N1": Fraction(3, 2), "L1": 1, "L2": Fraction(1, 2), "low": 1},
+    HLH_EASY: {"N1": 2, "L1": 1, "L2": 0, "low": 2},
+}
+
 _BASE_PARAMS = {
     HLH_HARD: {"N1": 16, "L1": 2, "L2": 2},
     HLH_EASY: {"N1": 16, "L1": 2, "L2": None},   # L2 defaults to 4*N1
@@ -476,36 +485,33 @@ def volume_case_config(case: str, **params):
             raise ValueError(f"case {case} does not take parameter {k!r}")
         p[k] = v
 
-    if case == HLH_HARD:
-        N1, L1, L2 = p["N1"], p["L1"], p["L2"]
-        N2 = 8 * N1
-        R = N2 + 2 * N1
-        X0 = (float(R), float(R), 0.0)
-        region = Intersect((
-            AnnularCone(+1, N1, L1),
-            Translate(Reflect(AnnularCone(+1, N2, L2)), X0),
-        ))
-        # The intersection forces xi1 nearly parallel to the axis with
-        # transverse defect y^2/(2 x) <= L1 + L2; the box below encloses it.
-        y_half = min(2.0 * N1, math.sqrt(8.0 * N1 * (L1 + L2)))
-        box = ((N1 - L1, 2 * N1 + L1), (N1 / 4.0, 2.0 * N1), (-y_half, y_half))
-        bound = N1 ** 1.5 * min(L1, L2) * math.sqrt(max(L1, L2))
-        p["N2"] = N2
-        return {"region": region, "box": box, "bound": bound, "params": p}
-
-    if case == HLH_EASY:
+    if case in (HLH_HARD, HLH_EASY):
         N1, L1 = p["N1"], p["L1"]
         L2 = p["L2"] if p["L2"] is not None else 4 * N1
-        N0 = 4 * N1
         N2 = 8 * N1
-        X0 = (float(N0), float(N0), 0.0)
-        region = Intersect((
-            BallCone(+1, N1, L1),
-            Translate(Reflect(BallCone(+1, N2, L2)), X0),
-        ))
-        box = ((0.0, N1 + L1), (-N1, N1), (-N1, N1))
-        bound = N1 ** 2 * min(L1, L2)
-        p.update(L2=L2, N0=N0, N2=N2)
+        if case == HLH_HARD:
+            R = N2 + 2 * N1
+            X0 = (float(R), float(R), 0.0)
+            region = Intersect((
+                AnnularCone(+1, N1, L1),
+                Translate(Reflect(AnnularCone(+1, N2, L2)), X0),
+            ))
+            # The intersection forces xi1 nearly parallel to the axis with
+            # transverse defect y^2/(2 x) <= L1 + L2; the box below encloses it.
+            y_half = min(2.0 * N1, math.sqrt(8.0 * N1 * (L1 + L2)))
+            box = ((N1 - L1, 2 * N1 + L1), (N1 / 4.0, 2.0 * N1), (-y_half, y_half))
+        else:
+            p["N0"] = N0 = 4 * N1
+            X0 = (float(N0), float(N0), 0.0)
+            region = Intersect((
+                BallCone(+1, N1, L1),
+                Translate(Reflect(BallCone(+1, N2, L2)), X0),
+            ))
+            box = ((0.0, N1 + L1), (-N1, N1), (-N1, N1))
+        e = VOLUME_EXPONENTS[case]
+        bound = (N1 ** float(e["N1"]) * min(L1, L2) ** float(e["L1"])
+                 * max(L1, L2) ** float(e["L2"]))
+        p.update(L2=L2, N2=N2)
         return {"region": region, "box": box, "bound": bound, "params": p}
 
     if case == LHH_SECTOR_S1:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .norms import _as_fraction, _conjugate, _temporal_norm, fl_norm
+from .norms import LebesgueExponents, _as_fraction, _temporal_norm, fl_norm
 from .spectral_grid import (FREQUENCY, PHYSICAL, TWO_PI, GridSpec,
                             SpaceTimeField, SpatialField, flip_wrap,
                             to_frequency, to_physical)
@@ -445,7 +445,7 @@ def random_data(grid: GridSpec, s: float, r, seed: int,
     nyquist = grid.d_xi * (grid.nx // 2)
     if band_limit >= nyquist:
         raise ValueError(f"band_limit {band_limit} must lie below Nyquist {nyquist}")
-    p = _conjugate(r)
+    p = float(LebesgueExponents(r).p)
     rng = np.random.default_rng(seed)
     exp_f = -(s + 2.0 / p + _ROUGHNESS_MARGIN)
     exp_g = -((s - 1.0) + 2.0 / p + _ROUGHNESS_MARGIN)

@@ -10,6 +10,7 @@ in exact rational arithmetic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,12 +22,10 @@ from .spectral_grid import (PHYSICAL, GridSpec, SpaceTimeField, SpatialField,
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, numbers.Rational):     # int, Fraction, numpy integers
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10 ** 12)
+    if isinstance(x, numbers.Real):
+        return Fraction(float(x)).limit_denominator(10 ** 12)
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational")
@@ -89,20 +88,13 @@ def japanese_bracket(xi) -> float:
     return float(math.sqrt(1.0 + x[0] ** 2 + x[1] ** 2))
 
 
-def _conjugate(r) -> float:
-    r = float(r)
-    if not (1 < r <= 2):
-        raise ValueError(f"Lebesgue exponent r must lie in (1, 2], got {r}")
-    return r / (r - 1)
-
-
 def fl_norm(f: SpatialField, r, s, homogeneous: bool = False) -> NormValue:
     """Fourier-Lebesgue data norm ( sum <xi>^{s p} |f-hat|^p dxi^2 )^{1/p}, p = r'.
 
     The homogeneous variant weights by |xi|^s and excludes the xi = 0 mode;
     a nonzero DC mode is reported in the result metadata, not an error.
     """
-    p = _conjugate(r)
+    p = float(LebesgueExponents(r).p)
     fhat = to_frequency(f)
     x1, x2 = f.grid.spatial_frequency_mesh()
     mag = np.abs(fhat.values)
@@ -125,7 +117,7 @@ def fl_norm(f: SpatialField, r, s, homogeneous: bool = False) -> NormValue:
 
 def xsb_norm(u: SpaceTimeField, r, s, b) -> NormValue:
     """Wave-Sobolev norm with weights <xi>^s <|tau|-|xi|>^b in L^{r'}."""
-    p = _conjugate(r)
+    p = float(LebesgueExponents(r).p)
     uhat = to_frequency(u)
     tau, x1, x2 = u.grid.frequency_mesh()
     xi_mag = np.sqrt(x1 ** 2 + x2 ** 2)

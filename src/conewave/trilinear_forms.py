@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from ._regression import fit_power_law
-from .frequency_geometry import _VACUOUS_L, BallCone, Reflect
-from .norms import _as_fraction
+from .frequency_geometry import (_VACUOUS_L, HLH_EASY, HLH_HARD,
+                                 VOLUME_EXPONENTS, BallCone, Reflect)
+from .norms import LebesgueExponents
 from .spectral_grid import (FREQUENCY, TWO_PI, GridSpec, SpaceTimeField,
                             flip_wrap, region_mask, require_dyadic,
                             to_physical)
@@ -100,6 +100,9 @@ def _effective_kernel(spec1: np.ndarray, spec2: np.ndarray,
 # estimate forms and predictions
 # ---------------------------------------------------------------------------
 
+_FORM_CASES = {"easy": HLH_EASY, "hard": HLH_HARD}
+
+
 @dataclass(frozen=True)
 class EstimateForm:
     """Dyadic constant shape of a cone-restriction estimate ("easy"/"hard")."""
@@ -107,25 +110,20 @@ class EstimateForm:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in ("easy", "hard"):
+        if self.kind not in _FORM_CASES:
             raise ValueError(f"kind must be 'easy' or 'hard', got {self.kind!r}")
 
     def exponents(self, r) -> dict:
-        """Exact rational exponents keyed by the dyadic base they apply to."""
-        r = _as_fraction(r)
-        p = r / (r - 1)
-        if self.kind == "easy":
-            return {
-                "N_min_012": 2 / p,
-                "N_min_12": 2 / r - 2 / p,
-                "L_min": 1 / r,
-                "L_max": Fraction(0),
-            }
+        """Exact rational exponents keyed by the dyadic base they apply to: the
+        form's HLH volume exponents over r, the low dimension split off by p."""
+        lebesgue = LebesgueExponents(r)
+        r, p = lebesgue.r, lebesgue.p
+        e = VOLUME_EXPONENTS[_FORM_CASES[self.kind]]
         return {
-            "N_min_012": 1 / p,
-            "N_min_12": Fraction(3, 2) / r - 1 / p,
-            "L_min": 1 / r,
-            "L_max": Fraction(1, 2) / r,
+            "N_min_012": e["low"] / p,
+            "N_min_12": e["N1"] / r - e["low"] / p,
+            "L_min": e["L1"] / r,
+            "L_max": e["L2"] / r,
         }
 
 
@@ -236,10 +234,8 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
     seeded restarts is reported.  An all-zero effective kernel (regions with
     no compatible triple) yields measured_C = 0 with the degenerate flag.
     """
+    p = float(LebesgueExponents(r).p)
     r = float(r)
-    if not (1 < r <= 2):
-        raise ValueError(f"r must lie in (1, 2], got {r}")
-    p = r / (r - 1)
     q_slot = (r, p, p)
     w = grid.freq_cell
     w2 = w * w

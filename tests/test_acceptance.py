@@ -19,7 +19,7 @@ from conewave import (FREQUENCY, PHYSICAL, AscentConfig, BallConeRegions,
                       picard_solve, rk4_solve, run_experiment,
                       scaling_law_check, sobolev_correspondence,
                       strichartz_probe, volume_exponent_fit, wave_admissible)
-from conewave.frequency_geometry import HLH_EASY, HLH_HARD
+from conewave.frequency_geometry import HLH_EASY, HLH_HARD, VOLUME_EXPONENTS
 from conewave.nlw_solver import free_trajectory, random_data
 from conewave.norms import spatial_l2
 from conewave.spectral_grid import dyadic_band_values
@@ -101,15 +101,18 @@ def test_criterion_3_volume_exponents():
     easy["L2"] = volume_exponent_fit(
         HLH_EASY, {"L2": [64, 128, 256, 512]}, samples, seed=306,
         base={"N1": 16, "L1": 2}).exponent("L2")
-    targets_hard = {"N1": 1.5, "L1": 1.0, "L2": 0.5}
-    targets_easy = {"N1": 2.0, "L1": 1.0, "L2": 0.0}
+    targets_hard = {k: float(VOLUME_EXPONENTS[HLH_HARD][k]) for k in hard}
+    targets_easy = {k: float(VOLUME_EXPONENTS[HLH_EASY][k]) for k in easy}
     ok = all(abs(hard[k] - targets_hard[k]) <= 0.15 for k in hard)
     ok &= all(abs(easy[k] - targets_easy[k]) <= 0.15 for k in easy)
+
+    def triple(values, spec):
+        return "(" + ", ".join(format(v, spec) for v in values.values()) + ")"
+
     _report(3, ok,
-            "hard (N1, Lmin, Lmax) = ({N1:.3f}, {L1:.3f}, {L2:.3f}) vs "
-            "(1.5, 1, 0.5); easy = ({eN1:.3f}, {eL1:.3f}, {eL2:.3f}) vs "
-            "(2, 1, 0); tolerance 0.15, 1e6 samples/point".format(
-                **hard, eN1=easy["N1"], eL1=easy["L1"], eL2=easy["L2"]))
+            f"hard (N1, Lmin, Lmax) = {triple(hard, '.3f')} vs "
+            f"{triple(targets_hard, 'g')}; easy = {triple(easy, '.3f')} vs "
+            f"{triple(targets_easy, 'g')}; tolerance 0.15, 1e6 samples/point")
 
 
 # ---------------------------------------------------------------------------

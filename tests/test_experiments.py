@@ -404,6 +404,38 @@ def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw
     assert raw in record["message"]
 
 
+@pytest.mark.parametrize("config, section, key, raw", [
+    ("solve.ini", "params", "t_final", "true"),
+    ("solve.ini", "params", "t_final", "inf"),
+    ("solve.ini", "params", "amplitude", "abc"),
+    ("solve.ini", "params", "picard_tol", "nan"),
+    ("solve.ini", "params", "amplitude", "1/0"),
+    ("solve.ini", "params", "amplitude", "a/b"),
+    pytest.param("solve.ini", "params", "amplitude", "1" + "0" * 400,
+                 id="solve.ini-params-amplitude-1e400"),
+    ("solve.ini", "grid", "d_xi", "nan"),
+    ("solve.ini", "grid", "d_tau", "off"),
+    ("constants.ini", "ascent", "tol", "small"),
+    ("scaling.ini", "params", "band_limit", "-inf"),
+    ("strichartz.ini", "params", "q_t", "yes")])
+def test_cli_rejects_bad_number_key(tmp_path, capsys, config, section,
+                                    key, raw):
+    text = (CONFIG_DIR / config).read_text(encoding="utf-8")
+    lines = [f"{key} = {raw}" if line.startswith(f"{key} =") else line
+             for line in text.splitlines()]
+    if f"{key} = {raw}" not in lines:
+        lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {raw}")
+    path = write_config(tmp_path, "\n".join(lines) + "\n")
+    kind = load_config(CONFIG_DIR / config).kind
+    rc = cli_main([kind, "--config", str(path), "--workers", "1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert (record["section"], record["key"]) == (section, key)
+    assert raw in record["message"]
+
+
 def test_cli_rejects_misspelled_constants_sweep_key(tmp_path, capsys):
     path = write_config(tmp_path, """
 [experiment]

@@ -8,7 +8,7 @@ from conewave import (AnnularCone, BallCone, Band, HalfSpace, Intersect,
                       Reflect, SectorCone, Translate, angle, build_net,
                       gamma0, region_volume_mc, volume_exponent_fit)
 from conewave.frequency_geometry import (HLH_EASY, HLH_HARD, LHH_SECTOR_S1,
-                                         LHH_SECTOR_S2,
+                                         LHH_SECTOR_S2, VOLUME_EXPONENTS,
                                          ball_cone_volume_exact,
                                          region_volume_quadrature,
                                          volume_case_config)
@@ -265,13 +265,28 @@ def test_single_value_axis_reports_no_exponent():
 def test_hlh_easy_lmin_exponent_quick():
     fit = volume_exponent_fit(HLH_EASY, {"L1": [1, 2, 4, 8]},
                               samples=200_000, seed=11)
-    assert abs(fit.exponent("L1") - 1.0) <= 0.15
+    assert abs(fit.exponent("L1") - VOLUME_EXPONENTS[HLH_EASY]["L1"]) <= 0.15
 
 
 def test_hlh_hard_n_exponent_quick():
     fit = volume_exponent_fit(HLH_HARD, {"N1": [8, 16, 32, 64]},
                               samples=200_000, seed=12)
-    assert abs(fit.exponent("N1") - 1.5) <= 0.15
+    assert abs(fit.exponent("N1") - VOLUME_EXPONENTS[HLH_HARD]["N1"]) <= 0.15
+
+
+def test_hlh_bound_shapes_bit_identical_to_closed_forms():
+    # the table-driven bounds against the closed forms they replace, at every
+    # dyadic point in 2^0..2^20; only the 1e6-sample benchmark compares
+    # volumes.csv, and with it the bound column, exactly
+    dyadic = [2 ** k for k in range(21)]
+    for N1 in dyadic:
+        for L1 in dyadic:
+            for L2 in dyadic:
+                lo, hi = min(L1, L2), max(L1, L2)
+                hard = volume_case_config(HLH_HARD, N1=N1, L1=L1, L2=L2)
+                easy = volume_case_config(HLH_EASY, N1=N1, L1=L1, L2=L2)
+                assert hard["bound"] == N1 ** 1.5 * lo * math.sqrt(hi)
+                assert easy["bound"] == N1 ** 2 * lo
 
 
 def test_measured_volumes_respect_bound_shapes():

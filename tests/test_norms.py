@@ -46,6 +46,13 @@ def test_fl_norm_single_mode_closed_form(grid8):
     assert fl_norm(f, r, s).value == pytest.approx(expected, rel=1e-13)
 
 
+def test_conjugate_exponent_accepts_numpy_scalars(grid8):
+    f = random_field(grid8, 3, spatial=True)
+    for r in (np.int64(2), np.float32(1.5), np.float64(1.75)):
+        assert LebesgueExponents(r).p == LebesgueExponents(float(r)).p
+        assert fl_norm(f, r, 1).value == fl_norm(f, float(r), 1).value
+
+
 def test_fl_norm_plancherel_case(grid8):
     f = random_field(grid8, 1, spatial=True)
     assert fl_norm(f, 2, 0).value == pytest.approx(spatial_l2(f), rel=1e-12)

@@ -9,6 +9,7 @@ from conewave import (FREQUENCY, GridSpec, SpaceTimeField, AscentConfig,
                       BallConeRegions, EstimateForm, best_constant, eval_J,
                       exponent_regression, predicted_constant)
 from conewave import trilinear_forms
+from conewave.frequency_geometry import HLH_EASY, HLH_HARD, VOLUME_EXPONENTS
 from conewave.spectral_grid import region_mask
 from conewave.trilinear_forms import (ConstantMeasurement, _effective_kernel,
                                       _spectrum, objective_value)
@@ -78,6 +79,32 @@ def test_estimate_form_exponents_r2():
     assert hard["N_min_12"] == Fraction(1, 4)
     assert hard["L_min"] == Fraction(1, 2)
     assert hard["L_max"] == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_estimate_form_rejects_r_outside_one_two(r):
+    for kind in ("easy", "hard"):
+        with pytest.raises(ValueError, match="r must lie in"):
+            EstimateForm(kind).exponents(r)
+        with pytest.raises(ValueError, match="r must lie in"):
+            predicted_constant(EstimateForm(kind), (2, 2, 2), (1, 1), r)
+
+
+def test_constant_exponents_are_volume_exponents_over_r():
+    # Hoelder: at coincident N the constant exponents sum to the volume
+    # exponent over r, and each modulation exponent is its volume one over r
+    r_values = [Fraction(3, 2) + Fraction(i, 100) for i in range(1, 51)]
+    for r in r_values + [Fraction(9, 5), Fraction(8, 5)]:
+        for kind, case in (("hard", HLH_HARD), ("easy", HLH_EASY)):
+            e = EstimateForm(kind).exponents(r)
+            volume = VOLUME_EXPONENTS[case]
+            assert e["N_min_012"] + e["N_min_12"] == volume["N1"] / r
+            assert e["L_min"] == volume["L1"] / r
+            assert e["L_max"] == volume["L2"] / r
+            C = predicted_constant(EstimateForm(kind), (16, 16, 16), (2, 8), r)
+            assert C == pytest.approx(16 ** float(volume["N1"] / r)
+                                      * 2 ** float(volume["L1"] / r)
+                                      * 8 ** float(volume["L2"] / r), rel=1e-14)
 
 
 def test_predicted_constant_values():
