@@ -17,6 +17,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import platform
 import sys
 import traceback
 from dataclasses import dataclass
@@ -192,6 +193,12 @@ def resolve_workers(flag_value=None) -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
+    return _affinity_count()
+
+
+def _affinity_count() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one)."""
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return max(1, multiprocessing.cpu_count())
@@ -326,6 +333,10 @@ def _grid_from_config(cfg: ExperimentConfig, default_nx=32, default_nt=64) -> Gr
     nt = get_value(sec, "nt", default_nt, section_name="grid", expect=int)
     d_xi = get_value(sec, "d_xi", 1.0, section_name="grid", expect=float)
     d_tau = get_value(sec, "d_tau", 1.0, section_name="grid", expect=float)
+    for key, spacing in (("d_xi", d_xi), ("d_tau", d_tau)):
+        if not spacing > 0:
+            raise ConfigError(f"must be > 0, got {sec[key]!r}",
+                              section="grid", key=key)
     try:
         return GridSpec(nx=nx, nt=nt, spatial_period=TWO_PI / d_xi,
                         time_period=TWO_PI / d_tau)
@@ -712,6 +723,9 @@ def run_experiment(config, workers=None, out_dir=None, seed=None) -> dict:
         "config": config.sections,
         "config_path": config.path,
         "workers": workers,
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "cpu_affinity": _affinity_count()},
         "started_at": started,
         "finished_at": finished,
         "complete": not errors,

@@ -72,25 +72,41 @@ def eval_J(F0: SpaceTimeField, F1: SpaceTimeField, F2: SpaceTimeField,
     raise ValueError(f"mode must be 'direct' or 'fast', got {mode!r}")
 
 
-_AXES3 = (0, 1, 2)
+def _spectrum(a: np.ndarray, rows) -> np.ndarray:
+    """Half spectrum rfftn(a) of a real lattice density that is zero off the
+    tau rows `rows` (an axis-0 index array or slice), as cached by the ascent.
 
-
-def _spectrum(a: np.ndarray) -> np.ndarray:
-    """Half spectrum of a real lattice density, as cached by the ascent."""
-    return np.fft.rfftn(a, axes=_AXES3)
+    rfftn over (0, 1, 2) is an rfft on axis 2, an fft on axis 1, then an fft
+    on axis 0.  The first two stages transform each tau row on its own, so
+    they run on `rows` only; the result is bit-identical to rfftn, since a
+    zero row transforms to exact zeros and numpy runs every line through the
+    same 1-D plan whatever the batch size.
+    """
+    part = np.fft.rfft(a[rows], axis=2)
+    spec = np.zeros(a.shape[:2] + part.shape[2:], dtype=complex)
+    spec[rows] = np.fft.fft(part, axis=1, out=part)
+    return np.fft.fft(spec, axis=0, out=spec)
 
 
 def _effective_kernel(spec1: np.ndarray, spec2: np.ndarray,
-                      shape: tuple) -> np.ndarray:
-    """g[j] = sum_k a1[k] * a2[(-j-k) mod n] from the half spectra of a1, a2.
+                      shape: tuple, rows) -> np.ndarray:
+    """g[j] = sum_k a1[k] * a2[(-j-k) mod n] on the tau rows `rows`, zero on
+    the others, from the half spectra of a1, a2.
 
     The inputs are real and nonnegative.  For real x the DFT of
     x[(-j) mod n] is conj(DFT(x)), so the flip-wrapped cyclic convolution is
-    one inverse real transform of the conjugated product.
+    one inverse real transform of the conjugated product.  irfftn is an ifft
+    on axis 0, then an ifft on axis 1 and an irfft on axis 2; the last two
+    act on each tau row on its own, so they run on `rows` only and match
+    irfftn there bit for bit.
     """
     prod = spec1 * spec2
     np.conjugate(prod, out=prod)
-    g = np.fft.irfftn(prod, s=shape, axes=_AXES3)
+    np.fft.ifft(prod, axis=0, out=prod)
+    part = prod[rows]
+    np.fft.ifft(part, axis=1, out=part)
+    g = np.zeros(shape)
+    g[rows] = np.fft.irfft(part, n=shape[2], axis=2)
     # rounding can leave tiny negatives on a nonnegative convolution
     np.maximum(g, 0.0, out=g)
     return g
@@ -242,6 +258,8 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
     masks = [region_mask(grid, A) for A in (A0, A1, A2)]
     if not all(m.any() for m in masks):
         raise ValueError("best_constant requires regions nonempty on the lattice")
+    # every slot is zero off its tau rows, so its transforms skip them
+    rows = [np.flatnonzero(m.any(axis=(1, 2))) for m in masks]
 
     best_val = -1.0
     best_trace = ()
@@ -256,8 +274,8 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
         else:
             starts = (rng.random(grid.shape) for _ in masks)
         # an update reads the other slots only through their spectra
-        spectra = [_spectrum(_normalize(np.where(mask, v, 0.0), q, w))
-                   for v, mask, q in zip(starts, masks, q_slot)]
+        spectra = [_spectrum(_normalize(np.where(mask, v, 0.0), q, w), rows_j)
+                   for v, mask, rows_j, q in zip(starts, masks, rows, q_slot)]
 
         value = -math.inf
         trace = []
@@ -268,7 +286,8 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
             prev = value
             for j in range(3):
                 k, l = (j + 1) % 3, (j + 2) % 3
-                g = _effective_kernel(spectra[k], spectra[l], grid.shape)
+                g = _effective_kernel(spectra[k], spectra[l], grid.shape,
+                                      rows[j])
                 g *= masks[j]
                 gmax = g.max()
                 if gmax == 0.0:
@@ -276,7 +295,7 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
                     break
                 q = q_slot[j]
                 f = _normalize(g ** (1.0 / (q - 1.0)), q, w)
-                spectra[j] = _spectrum(f)
+                spectra[j] = _spectrum(f, rows[j])
                 value = float(np.sum(f * g) * w2)
             if dead:
                 break
@@ -307,9 +326,10 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
 def objective_value(grid: GridSpec, fields) -> float:
     """J of a (F0, F1, F2) value triple (arrays), for oracle comparisons."""
     w2 = grid.freq_cell ** 2
-    g = _effective_kernel(_spectrum(np.asarray(fields[1], dtype=float)),
-                          _spectrum(np.asarray(fields[2], dtype=float)),
-                          grid.shape)
+    every = slice(None)
+    g = _effective_kernel(_spectrum(np.asarray(fields[1], dtype=float), every),
+                          _spectrum(np.asarray(fields[2], dtype=float), every),
+                          grid.shape, every)
     return float(np.sum(np.asarray(fields[0], dtype=float) * g) * w2)
 
 

@@ -3,9 +3,11 @@ import json
 import math
 import multiprocessing
 import os
+import platform
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conewave import emit_results, load_config, run_experiment
@@ -147,6 +149,17 @@ def test_manifest_lists_all_files_with_checksums(tmp_path):
         assert len(entry["sha256"]) == 64
         assert entry["bytes"] > 0
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_manifest_records_environment(tmp_path):
+    run_experiment(CONFIG_DIR / "ledger.ini", workers=2, out_dir=tmp_path / "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "cpu_affinity"}
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert isinstance(env["cpu_affinity"], int) and env["cpu_affinity"] >= 1
+    assert manifest["workers"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +428,10 @@ def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw
                  id="solve.ini-params-amplitude-1e400"),
     ("solve.ini", "grid", "d_xi", "nan"),
     ("solve.ini", "grid", "d_tau", "off"),
+    ("solve.ini", "grid", "d_xi", "0"),
+    ("solve.ini", "grid", "d_xi", "-1"),
+    ("solve.ini", "grid", "d_tau", "0"),
+    ("scaling.ini", "grid", "d_tau", "-0.5"),
     ("constants.ini", "ascent", "tol", "small"),
     ("scaling.ini", "params", "band_limit", "-inf"),
     ("strichartz.ini", "params", "q_t", "yes")])

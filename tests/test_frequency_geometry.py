@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,13 +7,18 @@ import pytest
 
 from conewave import (AnnularCone, BallCone, Band, HalfSpace, Intersect,
                       Reflect, SectorCone, Translate, angle, build_net,
-                      gamma0, region_volume_mc, volume_exponent_fit)
+                      gamma0, load_config, region_volume_mc,
+                      volume_exponent_fit)
+from conewave.experiments import _VOLUME_AXIS_NAMES, _parse_sweeps
 from conewave.frequency_geometry import (HLH_EASY, HLH_HARD, LHH_SECTOR_S1,
-                                         LHH_SECTOR_S2, VOLUME_EXPONENTS,
+                                         LHH_SECTOR_S2, VOLUME_CASES,
+                                         VOLUME_EXPONENTS,
                                          ball_cone_volume_exact,
                                          region_volume_quadrature,
                                          volume_case_config)
 from conewave._regression import fit_power_law
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +321,35 @@ def test_sector_case_volumes_positive():
         cfg = volume_case_config(case)
         est = region_volume_mc(cfg["region"], cfg["box"], samples=100_000, seed=14)
         assert est.mean > 0.0, case
+
+
+def _volume_points():
+    """(case, params) at every case default and every point of the shipped
+    volumes configs."""
+    points = [(case, {}) for case in VOLUME_CASES]
+    for name in ("volumes_hard.ini", "volumes_easy.ini"):
+        cfg = load_config(CONFIG_DIR / name)
+        case = cfg.sections["params"]["case"]
+        for _, axis, values, base in _parse_sweeps(cfg, _VOLUME_AXIS_NAMES):
+            points.extend((case, dict(base, **{axis: v})) for v in values)
+    return points
+
+
+def test_case_boxes_enclose_their_regions():
+    # region_volume_mc trusts its box: no point of a thin shell just outside
+    # a case's box may lie in the case's region
+    rng = np.random.default_rng(15)
+    for case, params in _volume_points():
+        cfg = volume_case_config(case, **params)
+        box = np.array(cfg["box"], dtype=float)
+        pad = 0.05 * (box[:, 1] - box[:, 0])
+        lo, hi = box[:, 0] - pad, box[:, 1] + pad
+        pts = lo[:, None] + (hi - lo)[:, None] * rng.random((3, 400_000))
+        inside = np.all((pts >= box[:, :1]) & (pts <= box[:, 1:]), axis=0)
+        shell = pts[:, ~inside]
+        assert shell.shape[1] > 50_000
+        hits = np.count_nonzero(cfg["region"].contains(*shell))
+        assert hits == 0, (case, params, hits)
 
 
 def test_wide_sector_box_encloses_region():

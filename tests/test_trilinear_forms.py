@@ -281,15 +281,46 @@ def test_effective_kernel_matches_lattice_sum():
     rng = np.random.default_rng(7)
     f0, a, b = (rng.random(grid.shape) for _ in range(3))
     expected = _lattice_sum_kernel(a, b)
-    g = _effective_kernel(_spectrum(a), _spectrum(b), grid.shape)
+    every = np.arange(grid.nt)
+    g = _effective_kernel(_spectrum(a, every), _spectrum(b, every), grid.shape,
+                          every)
     assert g.shape == grid.shape
     assert np.max(np.abs(g - expected)) <= 1e-12 * np.max(expected)
     J = np.sum(f0 * expected) * grid.freq_cell ** 2
     assert objective_value(grid, (f0, a, b)) == pytest.approx(J, rel=1e-12)
 
 
-def _complex_fft_kernel(a, b, shape):
-    """The previous kernel: cyclic convolution by complex FFTs, flip-wrapped."""
+# row sets on the 64-row tau axis: contiguous, wrapping like slot 0's
+# tau <= 0 rows, a single row, every row
+@pytest.mark.parametrize("rows", [
+    np.arange(20, 37),
+    np.r_[0, 33:64],
+    np.array([5]),
+    np.arange(64),
+    slice(None),
+], ids=["contiguous", "wrapping", "single", "all", "all-slice"])
+def test_pruned_transforms_equal_full_transforms(rows):
+    shape = (64, 16, 16)
+    rng = np.random.default_rng(17)
+    a = np.zeros(shape)
+    a[rows] = rng.random(a[rows].shape)
+    assert np.array_equal(_spectrum(a, rows), np.fft.rfftn(a, axes=(0, 1, 2)))
+
+    spec1, spec2 = (np.fft.rfftn(rng.random(shape), axes=(0, 1, 2))
+                    for _ in range(2))
+    g = _effective_kernel(spec1, spec2, shape, rows)
+    full = np.fft.irfftn(np.conjugate(spec1 * spec2), s=shape, axes=(0, 1, 2))
+    np.maximum(full, 0.0, out=full)
+    off = np.ones(shape[0], dtype=bool)
+    off[rows] = False
+    assert np.array_equal(g[rows], full[rows])
+    assert not g[off].any()
+
+
+def _complex_fft_kernel(a, b, shape, rows):
+    """The previous kernel: cyclic convolution by complex FFTs, flip-wrapped,
+    on every row."""
+    del rows
     conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
     g = np.roll(conv[::-1, ::-1, ::-1], shift=(1, 1, 1), axis=(0, 1, 2)).real
     np.maximum(g, 0.0, out=g)
@@ -312,7 +343,7 @@ def test_best_constant_matches_complex_fft_kernel(monkeypatch, N, L, signs):
         return best_constant(grid, regions.A0, regions.A1, regions.A2, 2, cfg)
 
     new = run()
-    monkeypatch.setattr(trilinear_forms, "_spectrum", lambda a: a)
+    monkeypatch.setattr(trilinear_forms, "_spectrum", lambda a, rows: a)
     monkeypatch.setattr(trilinear_forms, "_effective_kernel",
                         _complex_fft_kernel)
     old = run()
@@ -337,9 +368,14 @@ def test_best_constant_transform_count(fft_calls):
                       AscentConfig(restarts=restarts, max_iters=sweeps, tol=0.0,
                                    seed=1))
     assert m.iterations == sweeps and not m.converged
-    total = restarts * sweeps
-    assert sorted(fft_calls) == sorted(["irfftn"] * 3 * total
-                                       + ["rfftn"] * (3 * total + 3 * restarts))
+    # a slot update is one inverse (ifft axis 0, then ifft axis 1 and irfft
+    # axis 2 on the slot's rows) and one forward (rfft axis 2 and fft axis 1
+    # on the rows, then fft axis 0); a restart adds three forwards
+    forward = ["rfft", "fft", "fft"]
+    inverse = ["ifft", "ifft", "irfft"]
+    update = inverse + forward
+    expected = (forward * 3 + update * 3 * sweeps) * restarts
+    assert fft_calls == expected
 
 
 def test_best_constant_raises_no_warnings():
