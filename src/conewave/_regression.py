@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,11 +10,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PowerLawFit:
-    """Least-squares fit of log2(y) = exponent * log2(x) + intercept."""
+    """Least-squares fit of log2(y) = exponent * log2(x) + intercept.
+
+    exponent_se is the ordinary least-squares standard error of the slope,
+    NaN for two points (no residual degree of freedom).
+    """
 
     exponent: float
     intercept: float
     r_squared: float
+    exponent_se: float
 
 
 def fit_power_law(xs, ys) -> PowerLawFit:
@@ -42,5 +48,8 @@ def fit_power_law(xs, ys) -> PowerLawFit:
         r2 = 1.0 if ss_res < 1e-24 else 0.0
     else:
         r2 = max(0.0, 1.0 - ss_res / ss_tot)
+    dof = xs.size - 2
+    se = (math.sqrt(ss_res / dof / float(np.sum((lx - lx.mean()) ** 2)))
+          if dof > 0 else math.nan)
     return PowerLawFit(exponent=float(slope), intercept=float(intercept),
-                       r_squared=float(min(r2, 1.0)))
+                       r_squared=float(min(r2, 1.0)), exponent_se=se)

@@ -22,6 +22,7 @@ import sys
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__
 from .dyadic_ledger import feasible_b
 from .frequency_geometry import (HLH_HARD, VOLUME_CASES, VOLUME_EXPONENTS,
-                                 volume_exponent_fit)
+                                 fit_volume_sweep, volume_point)
 from .nlw_solver import (CauchyData, Nonlinearity, SolverConfig, energy,
                          picard_solve, random_data, rk4_solve,
                          strichartz_member, strichartz_summary,
@@ -396,16 +397,7 @@ def _run_ledger(cfg: ExperimentConfig, workers: int, out: Path):
     return files, errors
 
 
-@register_task("volume_axis")
-def _volume_axis(case, axis, values, samples, seed, base):
-    fit = volume_exponent_fit(case, {axis: values}, samples, seed, base=base)
-    series = [dict(rec) for rec in fit.series]
-    fitrec = None
-    if axis in fit.fits:
-        f = fit.fits[axis]
-        fitrec = {"case": case, "axis": axis, "exponent": f.exponent,
-                  "intercept": f.intercept, "r_squared": f.r_squared}
-    return {"series": series, "fit": fitrec}
+register_task("volume_point")(volume_point)
 
 
 def _parse_sweeps(cfg: ExperimentConfig, names: dict, required=False):
@@ -450,18 +442,26 @@ def _run_volumes(cfg: ExperimentConfig, workers: int, out: Path):
         raise ConfigError(f"case must be one of {VOLUME_CASES}, got {case!r}",
                           section="params", key="case")
     samples = get_value(sec, "samples", 10 ** 6, section_name="params", expect=int)
-    tasks = [dict(case=case, axis=axis, values=values, samples=samples,
-                  seed=cfg.seed + 1000 * i, base=base)
-             for i, (_, axis, values, base)
-             in enumerate(_parse_sweeps(cfg, _VOLUME_AXIS_NAMES))]
-    results, errors = run_tasks("volume_axis", tasks, workers)
+    sweeps = _parse_sweeps(cfg, _VOLUME_AXIS_NAMES)
+    tasks = [dict(case=case, point=dict(base, **{axis: value}), samples=samples,
+                  seed=cfg.seed + 1000 * i + vi)
+             for i, (_, axis, values, base) in enumerate(sweeps)
+             for vi, value in enumerate(values)]
+    results, errors = run_tasks("volume_point", tasks, workers)
     series, fits = [], []
-    for res in results:
-        if res is None:
+    gathered = iter(results)
+    for sweep_name, axis, values, _ in sweeps:
+        records = [rec for rec in islice(gathered, len(values)) if rec is not None]
+        series.extend(dict(rec, axis=axis) for rec in records)
+        if len(records) != len(values):
             continue
-        series.extend(res["series"])
-        if res["fit"]:
-            fits.append(res["fit"])
+        try:
+            f = fit_volume_sweep(axis, records)
+        except ValueError as exc:
+            errors.append(f"sweep.{sweep_name}: {exc}")
+            continue
+        fits.append({"case": case, "axis": axis, "exponent": f.exponent,
+                     "intercept": f.intercept, "r_squared": f.r_squared})
     keys = sorted({k for rec in series for k in rec})
     for rec in series:
         for k in keys:
@@ -502,6 +502,11 @@ def _parse_signs(raw) -> tuple:
 
 def _run_constants(cfg: ExperimentConfig, workers: int, out: Path):
     grid_sec = cfg.section("grid")
+    for key in ("d_xi", "d_tau"):
+        if key in grid_sec:
+            raise ConfigError(f"the constants lattice has period 2 pi, so no "
+                              f"spacing may be set, got {grid_sec[key]!r}",
+                              section="grid", key=key)
     nx = get_value(grid_sec, "nx", 32, section_name="grid", expect=int)
     nt = get_value(grid_sec, "nt", 64, section_name="grid", expect=int)
     ascent = cfg.section("ascent")

@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from .spectral_grid import TWO_PI, require_dyadic
-from ._regression import fit_power_law
+from ._regression import PowerLawFit, fit_power_law
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +264,17 @@ class Intersect(Region):
             raise ValueError("Intersect requires at least one region")
 
     def contains(self, tau, xi1, xi2):
-        out = self.regions[0].contains(tau, xi1, xi2)
+        # Each later region is evaluated only on the points still inside;
+        # every predicate is elementwise, so the mask equals the plain AND.
+        coords = np.broadcast_arrays(tau, xi1, xi2)
+        out = np.array(self.regions[0].contains(*coords), dtype=bool)
+        flat_out = out.reshape(-1)
+        flat = [c.reshape(-1) for c in coords]
         for reg in self.regions[1:]:
-            out = out & reg.contains(tau, xi1, xi2)
+            idx = np.flatnonzero(flat_out)
+            if idx.size == 0:
+                break
+            flat_out[idx] = reg.contains(*(c[idx] for c in flat))
         return out
 
     def bounding_box(self):
@@ -383,7 +391,6 @@ def region_volume_mc(region: Region, bounding_box, samples: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     vol_box = box_volume(bounding_box)
-    (t_lo, t_hi), (a_lo, a_hi), (b_lo, b_hi) = bounding_box
     hits = 0
     done = 0
     chunk_index = 0
@@ -391,10 +398,10 @@ def region_volume_mc(region: Region, bounding_box, samples: int,
         n = min(_CHUNK, samples - done)
         rng = _chunk_rng(seed, chunk_index)
         pts = rng.random((3, n))
-        tau = t_lo + (t_hi - t_lo) * pts[0]
-        xi1 = a_lo + (a_hi - a_lo) * pts[1]
-        xi2 = b_lo + (b_hi - b_lo) * pts[2]
-        hits += int(np.count_nonzero(region.contains(tau, xi1, xi2)))
+        for row, (lo, hi) in zip(pts, bounding_box):
+            row *= hi - lo
+            row += lo
+        hits += int(np.count_nonzero(region.contains(*pts)))
         done += n
         chunk_index += 1
     p = hits / samples
@@ -567,35 +574,42 @@ class VolumeExponentFit:
         return self.fits[axis].exponent
 
 
+def volume_point(case: str, point: dict, samples: int, seed: int) -> dict:
+    """Monte Carlo interaction volume of `case` at one parameter point.
+
+    The record holds the case, every derived parameter, the volume, its
+    standard error, the bound shape and the sample count.
+    """
+    cfg = volume_case_config(case, **point)
+    est = region_volume_mc(cfg["region"], cfg["box"], samples, seed)
+    return dict(cfg["params"], case=case, volume=est.mean,
+                std_error=est.std_error, bound=cfg["bound"], samples=samples)
+
+
+def fit_volume_sweep(axis: str, records) -> PowerLawFit:
+    """Power-law fit of the measured volumes of one sweep against its axis."""
+    return fit_power_law(np.array([r[axis] for r in records], dtype=float),
+                         np.array([r["volume"] for r in records]))
+
+
 def volume_exponent_fit(case: str, parameter_ranges: dict, samples: int,
                         seed: int, base: dict | None = None) -> VolumeExponentFit:
     """Measure interaction volumes along dyadic parameter axes and fit exponents.
 
     Each axis in `parameter_ranges` is varied on its own, the remaining
     parameters held at the case defaults or at the `base` overrides; ranges
-    should span at least three dyadic octaves.  Axes given a single value are
-    reported as absent (no exponent).
+    should span at least three dyadic octaves.  Point vi of the axis_index-th
+    axis (in sorted order) is sampled with seed + 1000*axis_index + vi.  Axes
+    given a single value are reported as absent (no exponent).
     """
     base = dict(base or {})
     fits = {}
     series = []
     for axis_index, (axis, values) in enumerate(sorted(parameter_ranges.items())):
-        values = list(values)
-        records = []
-        for vi, value in enumerate(values):
-            point = dict(base)
-            point[axis] = value
-            cfg = volume_case_config(case, **point)
-            est = region_volume_mc(cfg["region"], cfg["box"], samples,
-                                   seed + 1000 * axis_index + vi)
-            rec = {"case": case, "axis": axis, axis: value,
-                   "volume": est.mean, "std_error": est.std_error,
-                   "bound": cfg["bound"], "samples": samples}
-            rec.update({k: v for k, v in cfg["params"].items() if k != axis})
-            records.append(rec)
+        records = [dict(volume_point(case, dict(base, **{axis: value}), samples,
+                                     seed + 1000 * axis_index + vi), axis=axis)
+                   for vi, value in enumerate(values)]
         series.extend(records)
-        if len(values) >= 2:
-            xs = np.array(values, dtype=float)
-            ys = np.array([r["volume"] for r in records])
-            fits[axis] = fit_power_law(xs, ys)
+        if len(records) >= 2:
+            fits[axis] = fit_volume_sweep(axis, records)
     return VolumeExponentFit(case=case, fits=fits, series=tuple(series))

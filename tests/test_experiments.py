@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conewave import emit_results, load_config, run_experiment
+from conewave import (emit_results, load_config, run_experiment,
+                      volume_exponent_fit)
 from conewave.cli import main as cli_main
 from conewave.experiments import ConfigError, format_cell, resolve_workers
+from conewave.frequency_geometry import HLH_HARD
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -234,6 +236,53 @@ def test_seed_changes_output(tmp_path):
             != (tmp_path / "s10" / "volumes.csv").read_bytes())
 
 
+def test_volume_points_match_volume_exponent_fit(tmp_path):
+    # the volumes kind runs one pool task per sweep point and fits each sweep
+    # in the parent; sweep i (sorted by name) samples point vi with seed
+    # config seed + 1000*i + vi, as volume_exponent_fit does for one axis
+    cfg = write_config(tmp_path, """
+[experiment]
+kind = volumes
+seed = 4
+
+[params]
+case = HLH_hard
+samples = 20000
+
+[sweep.n1]
+n1 = 8 16 32
+l1 = 1
+l2 = 1
+
+[sweep.l1]
+n1 = 32
+l1 = 1 2 4
+l2 = 8
+""")
+    for workers in (1, 3):
+        assert run_experiment(cfg, workers=workers,
+                              out_dir=tmp_path / f"w{workers}")["complete"]
+    for name in ("volumes.csv", "volume_fits.csv"):
+        assert ((tmp_path / "w1" / name).read_bytes()
+                == (tmp_path / "w3" / name).read_bytes())
+    rows = list(csv.DictReader(open(tmp_path / "w3" / "volumes.csv")))
+    fits = {r["axis"]: r
+            for r in csv.DictReader(open(tmp_path / "w3" / "volume_fits.csv"))}
+    sweeps = [("L1", [1, 2, 4], {"N1": 32, "L2": 8}),
+              ("N1", [8, 16, 32], {"L1": 1, "L2": 1})]
+    for i, (axis, values, base) in enumerate(sweeps):
+        ref = volume_exponent_fit(HLH_HARD, {axis: values}, 20000,
+                                  seed=4 + 1000 * i, base=base)
+        got = [r for r in rows if r["axis"] == axis]
+        assert got == [{k: format_cell(rec.get(k, "")) for k in got[0]}
+                       for rec in ref.series]
+        f = ref.fits[axis]
+        assert fits[axis] == {"case": HLH_HARD, "axis": axis,
+                              "exponent": format_cell(f.exponent),
+                              "intercept": format_cell(f.intercept),
+                              "r_squared": format_cell(f.r_squared)}
+
+
 # ---------------------------------------------------------------------------
 # the other experiment kinds, smoke scale
 # ---------------------------------------------------------------------------
@@ -432,6 +481,8 @@ def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw
     ("solve.ini", "grid", "d_xi", "-1"),
     ("solve.ini", "grid", "d_tau", "0"),
     ("scaling.ini", "grid", "d_tau", "-0.5"),
+    ("constants.ini", "grid", "d_tau", "-0.5"),
+    ("constants.ini", "grid", "d_xi", "1"),
     ("constants.ini", "ascent", "tol", "small"),
     ("scaling.ini", "params", "band_limit", "-inf"),
     ("strichartz.ini", "params", "q_t", "yes")])

@@ -10,13 +10,14 @@ from conewave import (AnnularCone, BallCone, Band, HalfSpace, Intersect,
                       gamma0, load_config, region_volume_mc,
                       volume_exponent_fit)
 from conewave.experiments import _VOLUME_AXIS_NAMES, _parse_sweeps
-from conewave.frequency_geometry import (HLH_EASY, HLH_HARD, LHH_SECTOR_S1,
-                                         LHH_SECTOR_S2, VOLUME_CASES,
-                                         VOLUME_EXPONENTS,
-                                         ball_cone_volume_exact,
+from conewave.frequency_geometry import (_CHUNK, HLH_EASY, HLH_HARD,
+                                         LHH_SECTOR_S1, LHH_SECTOR_S2,
+                                         VOLUME_CASES, VOLUME_EXPONENTS,
+                                         _chunk_rng, ball_cone_volume_exact,
                                          region_volume_quadrature,
                                          volume_case_config)
 from conewave._regression import fit_power_law
+from conewave.spectral_grid import GridSpec, region_mask
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -144,6 +145,83 @@ def test_region_membership_deterministic():
     assert np.array_equal(m1, m2)
 
 
+def _and_of_members(reg, tau, xi1, xi2):
+    out = reg.regions[0].contains(tau, xi1, xi2)
+    for member in reg.regions[1:]:
+        out = out & member.contains(tau, xi1, xi2)
+    return out
+
+
+_INTERSECTIONS = [volume_case_config(case) for case in VOLUME_CASES] + [
+    {"region": Intersect((AnnularCone(+1, 8, 2), HalfSpace(+1), Band(8))),
+     "box": ((-20.0, 20.0), (-20.0, 20.0), (-20.0, 20.0))}]
+
+
+@pytest.mark.parametrize("cfg", _INTERSECTIONS,
+                         ids=list(VOLUME_CASES) + ["cone_half_band"])
+def test_intersect_contains_equals_and_of_members(cfg):
+    # Intersect evaluates later members only where the earlier ones hold;
+    # the mask must equal the plain AND of every member's mask
+    reg, box = cfg["region"], cfg["box"]
+    rng = np.random.default_rng(17)
+    tau, xi1, xi2 = (rng.uniform(lo, hi, 20_000) for lo, hi in box)
+    got = reg.contains(tau, xi1, xi2)
+    want = _and_of_members(reg, tau, xi1, xi2)
+    assert got.dtype == bool and got.shape == tau.shape
+    assert np.array_equal(got, want) and want.any() and not want.all()
+    # scalar tau over a sparse (xi1, xi2) mesh, as region_volume_quadrature
+    # calls it
+    aa, bb = np.meshgrid(np.linspace(*box[1], 41), np.linspace(*box[2], 43),
+                         indexing="ij", sparse=True)
+    for t in np.linspace(*box[0], 9):
+        got = reg.contains(np.float64(t), aa, bb)
+        want = _and_of_members(reg, np.float64(t), aa, bb)
+        assert got.shape == (41, 43) and np.array_equal(got, want)
+    for point in zip(tau[:300], xi1[:300], xi2[:300]):
+        assert reg.contains_point(point) == all(
+            m.contains_point(point) for m in reg.regions)
+
+
+def test_intersect_region_mask_equals_and_of_member_masks():
+    grid = GridSpec(nx=32, nt=64, spatial_period=2 * math.pi,
+                    time_period=2 * math.pi)
+    reg = Intersect((BallCone(+1, 8, 4), HalfSpace(+1), Band(4),
+                     Translate(Reflect(BallCone(+1, 16, 8)), (20.0, 12.0, 0.0))))
+    mask = region_mask(grid, reg)
+    want = np.logical_and.reduce([region_mask(grid, m) for m in reg.regions])
+    assert mask.shape == grid.shape and np.array_equal(mask, want)
+    assert want.any()
+
+
+def test_intersect_contains_when_first_region_is_empty():
+    # no point survives the first member: later members are never evaluated
+    # and the mask is all false, with the input shape
+    reg = Intersect((HalfSpace(+1), BallCone(+1, 8, 2), Band(4)))
+    rng = np.random.default_rng(5)
+    tau = -rng.uniform(0.5, 10.0, 1_000)
+    xi1, xi2 = rng.uniform(-8, 8, (2, 1_000))
+    got = reg.contains(tau, xi1, xi2)
+    assert got.shape == (1_000,) and not got.any()
+    assert np.array_equal(got, _and_of_members(reg, tau, xi1, xi2))
+    empty = np.empty(0)
+    assert reg.contains(empty, empty, empty).shape == (0,)
+    assert not reg.contains_point((-1.0, 0.5, 0.5))
+
+
+def test_mc_hits_equal_plain_and_count():
+    # region_volume_mc's hit count against the sampling arithmetic written
+    # out: lo + (hi - lo) * u per axis and the AND of every member
+    cfg = volume_case_config(HLH_HARD)
+    samples = _CHUNK + 4_321
+    est = region_volume_mc(cfg["region"], cfg["box"], samples, seed=23)
+    hits = 0
+    for chunk, n in enumerate((_CHUNK, 4_321)):
+        u = _chunk_rng(23, chunk).random((3, n))
+        coords = [lo + (hi - lo) * row for (lo, hi), row in zip(cfg["box"], u)]
+        hits += int(np.count_nonzero(_and_of_members(cfg["region"], *coords)))
+    assert est.hits == hits > 0
+
+
 def test_sector_sign_applies_to_xi():
     # theta(-xi, omega) <= gamma for the lower cone: membership sits on the
     # -omega side of the xi plane
@@ -253,6 +331,17 @@ def test_constant_series_fits_zero_exponent():
     fit = fit_power_law(np.array([1.0, 2.0, 4.0]), np.array([5.0, 5.0, 5.0]))
     assert abs(fit.exponent) < 1e-12
     assert fit.r_squared == 1.0
+
+
+def test_fit_slope_standard_error():
+    # log2 points (0, 0), (1, 1), (2, 2), (3, 4): slope 13/10, intercept
+    # -1/5, residuals (1, -1/2, -2, 3/2)/5, so SE^2 = (3/10 / 2) / 5 = 3/100
+    fit = fit_power_law(np.array([1.0, 2.0, 4.0, 8.0]),
+                        np.array([1.0, 2.0, 4.0, 16.0]))
+    assert abs(fit.exponent - 1.3) < 1e-12
+    assert abs(fit.exponent_se - math.sqrt(0.03)) < 1e-12
+    assert math.isnan(fit_power_law(np.array([1.0, 2.0]),
+                                    np.array([1.0, 3.0])).exponent_se)
 
 
 def test_volume_case_config_validation():
