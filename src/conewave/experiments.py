@@ -404,8 +404,9 @@ def _parse_sweeps(cfg: ExperimentConfig, names: dict, required=False):
     """(sweep name, axis, axis values, base point) per [sweep.<name>] section.
 
     names maps config keys to axis names.  Any other key is an error, and
-    with required so is a missing one; every list must be nonempty, exactly
-    one axis may take several values, and base holds the others' values.
+    with required so is a missing one; every list must be nonempty and free
+    of repeats, exactly one axis may take several values, and base holds the
+    others' values.
     """
     sweeps = [(name[len("sweep."):], sec)
               for name, sec in sorted(cfg.sections.items())
@@ -419,8 +420,14 @@ def _parse_sweeps(cfg: ExperimentConfig, names: dict, required=False):
             if key not in names:
                 raise ConfigError(f"unknown parameter {key!r}",
                                   section=section, key=key)
-        point = {axis: get_list(sec, key, required=True, section_name=section)
-                 for key, axis in names.items() if required or key in sec}
+        point = {}
+        for key, axis in names.items():
+            if required or key in sec:
+                values = get_list(sec, key, required=True, section_name=section)
+                if len(set(values)) != len(values):
+                    raise ConfigError(f"a sweep list may not repeat a value, "
+                                      f"got {sec[key]!r}", section=section, key=key)
+                point[axis] = values
         varying = [k for k, v in point.items() if len(v) > 1]
         if len(varying) != 1:
             raise ConfigError("exactly one axis may vary per sweep", section=section)

@@ -423,13 +423,14 @@ def _hermitian_random_spectrum(grid: GridSpec, exponent: float, rng,
     k2 = idx[None, :]
     x1, x2 = grid.spatial_frequency_mesh()
     r = np.sqrt(x1 ** 2 + x2 ** 2)
-    weight = (1.0 + r ** 2) ** (exponent / 2.0)
     band = (r <= band_limit) & (np.abs(k1) < nx // 2) & (np.abs(k2) < nx // 2)
-    phases = np.exp(1j * TWO_PI * rng.random((nx, nx)))
-    canonical = (k1 > 0) | ((k1 == 0) & (k2 > 0))
-    half = np.where(band & canonical, weight * phases, 0.0)
+    keep = band & ((k1 > 0) | ((k1 == 0) & (k2 > 0)))
+    # a phase is drawn for every mode, so the stream does not depend on the band
+    u = rng.random((nx, nx))[keep]
+    half = np.zeros((nx, nx), complex)
+    half[keep] = (1.0 + r[keep] ** 2) ** (exponent / 2.0) * np.exp(1j * TWO_PI * u)
     full = half + np.conj(flip_wrap(half))
-    full[0, 0] = weight[0, 0]
+    full[0, 0] = 1.0  # the weight <xi>^exponent at xi = 0
     return full
 
 
@@ -540,10 +541,16 @@ def _gradient_magnitudes(data: CauchyData):
 
     Real data only (ValueError otherwise).  With the derivative multipliers
     D = (i xi1, i xi2) premultiplied into a = D f-hat and b = D g-hat/|xi|,
-    a slice is one batched irfft2 of cos(t|xi|) a + sin(t|xi|) b over both
+    a slice is the batched irfft2 of cos(t|xi|) a + sin(t|xi|) b over both
     components.  D vanishes on the Nyquist row (d/dx1) and column (d/dx2),
     so the gradient's Nyquist modes are dropped; data without Nyquist
     content, like random_data's, lose nothing.
+
+    irfft2 is an axis-0 ifft followed by a last-axis irfft, and an all-zero
+    half-spectrum column stays zero through the ifft.  So the evolution and
+    the ifft run only on the columns where a or b is nonzero, which are
+    scattered into a zero half spectrum for the irfft; the slices equal the
+    full irfft2 bit for bit.  Band-limited data occupy few columns.
     """
     grid = data.grid
     nx = grid.nx
@@ -559,10 +566,13 @@ def _gradient_magnitudes(data: CauchyData):
         np.broadcast_arrays(xi[:, None], xi[None, :half]))
     a = deriv * f_half
     b = deriv * (inv_k * g_half)
+    cols = np.flatnonzero((a != 0).any(axis=(0, 1)) | (b != 0).any(axis=(0, 1)))
+    a, b, k = a[..., cols], b[..., cols], k[:, cols]
+    buf = np.zeros((2, nx, half), complex)
     for t in grid.t_axis:
         tk = t * k
-        g1, g2 = np.fft.irfft2(np.cos(tk) * a + np.sin(tk) * b,
-                               s=grid.spatial_shape)
+        buf[..., cols] = np.fft.ifft(np.cos(tk) * a + np.sin(tk) * b, axis=1)
+        g1, g2 = np.fft.irfft(buf, n=nx, axis=2)
         yield np.sqrt(g1 ** 2 + g2 ** 2)
 
 

@@ -530,6 +530,28 @@ l3 = 99
     assert (record["section"], record["key"]) == ("sweep.l1", "l3")
 
 
+@pytest.mark.parametrize("config, section, key, raw", [
+    ("volumes_hard.ini", "sweep.l1", "l1", "2 2"),
+    ("constants.ini", "sweep.n1", "n1", "4 4")])
+def test_cli_rejects_repeated_sweep_value(tmp_path, capsys, config, section,
+                                          key, raw):
+    # a repeat made the list count as the varying axis: volumes then exited 1
+    # with a fit error, constants ran the point twice and fitted nothing
+    lines = (CONFIG_DIR / config).read_text(encoding="utf-8").splitlines()
+    at = lines.index(f"[{section}]")
+    at += next(i for i, line in enumerate(lines[at:]) if line.startswith(f"{key} ="))
+    lines[at] = f"{key} = {raw}"
+    path = write_config(tmp_path, "\n".join(lines) + "\n")
+    kind = load_config(CONFIG_DIR / config).kind
+    rc = cli_main([kind, "--config", str(path), "--workers", "1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert (record["section"], record["key"]) == (section, key)
+    assert raw in record["message"]
+
+
 def test_cli_seed_override(tmp_path):
     cfg = _volumes_smoke_config(tmp_path)
     assert cli_main(["volumes", "--config", str(cfg), "--workers", "1",

@@ -383,14 +383,15 @@ def test_rk4_transform_count(transform_calls, monkeypatch):
 
 
 def test_gradient_magnitude_transform_count(transform_calls, monkeypatch):
-    # frequency-represented data: one batched real inverse transform per
-    # slice, no complex transform and no spectral_grid.transform
+    # frequency-represented data: per slice one batched axis-0 ifft of the
+    # occupied columns and one batched real inverse transform, no forward
+    # transform and no spectral_grid.transform
     fft_calls = count_fft_calls(monkeypatch, nlw_solver)
     grid = GridSpec(nx=16, nt=8, spatial_period=2 * math.pi, time_period=1.0)
     data = random_data(grid, s=1.75, r=2, seed=9, band_limit=5.0)
     gradient_magnitude_trajectory(data)
     strichartz_ratio(data, q_t=4.0)
-    assert fft_calls == ["irfft2"] * 2 * grid.nt
+    assert fft_calls == ["ifft", "irfft"] * 2 * grid.nt
     assert transform_calls == []
 
 
@@ -514,6 +515,38 @@ def test_random_data_reproducible_and_real():
     c = random_data(grid, s=1.75, r=2, seed=12, band_limit=8.0)
     assert not np.array_equal(a.f.values, c.f.values)
     assert a.max_imag_physical() < 1e-12
+
+
+def full_draw_spectrum(grid, exponent, rng, band_limit):
+    """Hermitian random spectrum with the weight and phase formed on every
+    mode and the band selected afterwards by np.where."""
+    nx = grid.nx
+    idx = np.rint(nx * np.fft.fftfreq(nx)).astype(int)
+    k1, k2 = idx[:, None], idx[None, :]
+    x1, x2 = grid.spatial_frequency_mesh()
+    r = np.sqrt(x1 ** 2 + x2 ** 2)
+    weight = (1.0 + r ** 2) ** (exponent / 2.0)
+    band = (r <= band_limit) & (np.abs(k1) < nx // 2) & (np.abs(k2) < nx // 2)
+    phases = np.exp(1j * 2 * math.pi * rng.random((nx, nx)))
+    canonical = (k1 > 0) | ((k1 == 0) & (k2 > 0))
+    half = np.where(band & canonical, weight * phases, 0.0)
+    full = half + np.conj(spectral_grid.flip_wrap(half))
+    full[0, 0] = weight[0, 0]
+    return full
+
+
+@pytest.mark.parametrize("nx", [32, 256])
+@pytest.mark.parametrize("seed", [5, 17])
+def test_random_data_spectra_match_full_phase_draw(nx, seed):
+    grid = make_grid(nx=nx)
+    for band_modes in (0.4 * 32, 0.4 * nx):
+        data = random_data(grid, s=1.75, r=2, seed=seed, band_limit=band_modes)
+        rng = np.random.default_rng(seed)
+        # random_data's exponents -(s + 2/r' + 0.01) and -(s - 1 + 2/r' + 0.01)
+        want_f = full_draw_spectrum(grid, -(1.75 + 1.0 + 0.01), rng, band_modes)
+        want_g = full_draw_spectrum(grid, -(0.75 + 1.0 + 0.01), rng, band_modes)
+        assert np.array_equal(data.f.values, want_f)
+        assert np.array_equal(data.g.values, want_g)
 
 
 def test_random_data_norm_stable_across_band_doubling():
@@ -645,6 +678,48 @@ def test_strichartz_ratio_matches_per_slice_reference(nx):
     num = (np.sum(maxima ** q_t) * grid.dt) ** (1.0 / q_t)
     want = num / (fl_norm(data.f, 2, 1.75).value + fl_norm(data.g, 2, 0.75).value)
     assert strichartz_ratio(data, q_t) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def full_stack_gradient_magnitudes(data):
+    """|grad u| per slice as one irfft2 of the whole (2, nx, nx/2+1) stack
+    cos(t|xi|) a + sin(t|xi|) b, with a and b formed as the probe forms
+    them: the unpruned reference of the column-pruned probe."""
+    grid = data.grid
+    nx = grid.nx
+    half = nx // 2 + 1
+    k = grid.xi_magnitude()[:, :half]
+    inv_k = np.divide(1.0, k, out=np.zeros_like(k), where=k > 0)
+    xi = grid.xi_axis
+    xi[nx // 2] = 0.0
+    deriv = (1j / grid.spatial_transform_factor) * np.stack(
+        np.broadcast_arrays(xi[:, None], xi[None, :half]))
+    a = deriv * nlw_solver._real_half_spectrum(data.f)
+    b = deriv * (inv_k * nlw_solver._real_half_spectrum(data.g))
+    out = []
+    for t in grid.t_axis:
+        g1, g2 = np.fft.irfft2(np.cos(t * k) * a + np.sin(t * k) * b,
+                               s=grid.spatial_shape)
+        out.append(np.sqrt(g1 ** 2 + g2 ** 2))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("data_kind", ["fixed_band", "physical"])
+def test_pruned_gradient_magnitudes_match_full_stack(data_kind):
+    # the shipped fixed band (12.8 lattice steps) occupies 13 of the 129
+    # half-spectrum columns at 256 x 256; physical random data occupy all
+    grid = GridSpec(nx=256, nt=8, spatial_period=2 * math.pi, time_period=1.0)
+    if data_kind == "fixed_band":
+        data = random_data(grid, s=1.75, r=2, seed=23,
+                           band_limit=grid.d_xi * 0.4 * 32)
+    else:
+        rng = np.random.default_rng(23)
+        data = CauchyData(
+            SpatialField(grid, rng.standard_normal(grid.spatial_shape), PHYSICAL),
+            SpatialField(grid, rng.standard_normal(grid.spatial_shape), PHYSICAL))
+    got = gradient_magnitude_trajectory(data).values
+    assert np.array_equal(got, full_stack_gradient_magnitudes(data))
+    want = np_gradient_magnitudes(data, drop_nyquist=True)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_gradient_magnitudes_drop_nyquist_modes():
