@@ -8,10 +8,10 @@ from .spectral_grid import (FREQUENCY, PHYSICAL, GridSpec, SpaceTimeField,
                             SpatialField, dyadic_restrict, is_dyadic, project,
                             transform)
 from .frequency_geometry import (AngularNet, AnnularCone, BallCone, Band,
-                                 FullSpace, HalfSpace, Intersect, Modulation,
-                                 Reflect, SectorCone, Translate,
-                                 VolumeEstimate, angle, build_net, gamma0,
-                                 region_volume_mc, volume_exponent_fit)
+                                 FullSpace, HalfSpace, Intersect, Reflect,
+                                 SectorCone, Translate, VolumeEstimate, angle,
+                                 build_net, gamma0, region_volume_mc,
+                                 volume_exponent_fit)
 from .norms import (LebesgueExponents, NormValue, RegularityParams,
                     critical_exponent, fl_norm, japanese_bracket, mixed_norm,
                     scaling_law_check, sobolev_correspondence, xsb_norm, z_norm)

@@ -1,6 +1,7 @@
 """Experiment orchestration: configs, deterministic sweeps, CSV/JSON results.
 
-Configs are flat INI files (sections of key = value pairs).  Every experiment
+Configs are flat INI files (sections of key = value pairs), checked against
+one schema per experiment kind before any work starts.  Every experiment
 is decomposed into independent seeded tasks dispatched over a worker pool;
 results are merged in task order before writing, so numeric payloads are
 byte-identical for a given (config, seed) regardless of worker count or
@@ -18,10 +19,10 @@ import json
 import multiprocessing
 import os
 import platform
-import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
@@ -31,11 +32,12 @@ from . import __version__
 from .dyadic_ledger import feasible_b
 from .frequency_geometry import (HLH_HARD, VOLUME_CASES, VOLUME_EXPONENTS,
                                  fit_volume_sweep, volume_point)
-from .nlw_solver import (CauchyData, Nonlinearity, SolverConfig, energy,
+from .nlw_solver import (DIRECTIONS, FULL_GRAD_SQUARE, NONLINEARITY_KINDS,
+                         CauchyData, Nonlinearity, SolverConfig, energy,
                          picard_solve, random_data, rk4_solve,
                          strichartz_member, strichartz_summary,
                          strichartz_tasks)
-from .norms import _as_fraction, scaling_law_check, spatial_l2
+from .norms import LebesgueExponents, scaling_law_check, spatial_l2
 from .spectral_grid import PHYSICAL, TWO_PI, GridSpec, SpatialField, is_dyadic
 from ._regression import fit_power_law
 from .trilinear_forms import AscentConfig, BallConeRegions, best_constant
@@ -50,6 +52,7 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; carries the offending key location."""
 
     def __init__(self, message, section=None, key=None, line=None):
+        self.message = message
         self.section = section
         self.key = key
         self.line = line
@@ -67,6 +70,184 @@ class ConfigError(ValueError):
 # configuration
 # ---------------------------------------------------------------------------
 
+# A key is a (type, default, range) triple.  The type is a (name, parser)
+# pair; the parser raises ValueError, LookupError or ArithmeticError on a
+# malformed raw string.  The default is the value when the key is absent:
+# REQUIRED means it must be given, None that it stays unset.  The range,
+# None or a (description, test) pair, holds for the value or for each item
+# of a list; its test returns false or raises ValueError outside it.
+REQUIRED = object()
+_BOOLS = {"true": True, "yes": True, "on": True,
+          "false": False, "no": False, "off": False}
+
+INT = ("an integer", int)
+# Fraction takes integers, decimals and num/den but no nan, inf or word, and
+# float() of a value beyond the float range raises OverflowError
+FLOAT = ("a finite number", lambda raw: float(Fraction(raw)))
+RATIONAL = ("a rational", Fraction)
+BOOL = ("a boolean", lambda raw: _BOOLS[raw.lower()])
+
+
+def _word(*words) -> tuple:
+    return "one of " + ", ".join(words), {w: w for w in words}.__getitem__
+
+
+def _list_of(item: tuple, length=None, distinct=False) -> tuple:
+    """A whitespace-separated nonempty list of item values, as a tuple."""
+    def parse(raw):
+        values = tuple(map(item[1], raw.split()))
+        if (not values or length not in (None, len(values))
+                or (distinct and len(set(values)) < len(values))):
+            raise ValueError(raw)
+        return values
+    count = f"{length} " if length else ""
+    return f"a list of {count}{'distinct ' * distinct}values, each {item[0]}", parse
+
+
+POSITIVE = ("> 0", lambda v: v > 0)
+AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+DYADIC = ("2**j", is_dyadic)
+GRID_SIZE = ("2**j >= 8", lambda v: is_dyadic(v) and v >= 8)
+LEBESGUE = ("in (1, 2]", LebesgueExponents)
+SIGNS = _list_of(_word("+", "-"), length=3)
+SPACING = {"d_xi": (FLOAT, 1.0, POSITIVE), "d_tau": (FLOAT, 1.0, POSITIVE)}
+
+# read by load_config into the config's kind, seed and workers
+_EXPERIMENT = {"kind": (_word(*EXPERIMENT_KINDS), REQUIRED, None),
+               "seed": (INT, REQUIRED, None),
+               "workers": (INT, None, AT_LEAST_1)}
+# [sweep.<name>] keys per kind: axis name -> key; the config key is the axis
+# name in lower case.  An absent volumes axis keeps the case's default.
+_VOLUME_AXIS_NAMES = dict.fromkeys(
+    ("N0", "N1", "L1", "L2"), (_list_of(INT, distinct=True), None, DYADIC))
+_VOLUME_AXIS_NAMES["gamma"] = (_list_of(FLOAT, distinct=True), None, POSITIVE)
+_CONSTANT_AXIS_NAMES = dict.fromkeys(
+    ("N0", "N1", "N2", "L1", "L2"),
+    (_list_of(INT, distinct=True), REQUIRED, DYADIC))
+
+
+def _check_ledger(values, cfg):
+    p = values["params"]
+    if p["s"] is None and p["s_offsets"] is None:
+        raise ConfigError("need s or s_offsets", "params", "s")
+    generated = ("r_min", "r_max", "r_count")
+    if p["r"] is not None:
+        if any(key in cfg.section("params") for key in generated):
+            raise ConfigError("give r or r_min, r_max and r_count, not both",
+                              "params", "r")
+        p.update(dict.fromkeys(generated))   # an explicit r list uses none
+
+
+def _check_scaling(values, cfg):
+    p = values["params"]
+    if len(p["s"]) != len(p["r"]):
+        raise ConfigError("s and r lists must zip", "params", "r")
+    if p["band_limit"] is None:     # a quarter of the Nyquist band
+        grid = values["grid"]
+        p["band_limit"] = _grid_spec(grid).d_xi * (grid["nx"] // 4)
+
+
+# kind -> (section -> {key: (type, default, range)}, the [sweep.<name>] axes
+# or None, a check of rules across keys or None)
+SCHEMAS = {
+    "ledger": ({"params": {
+        "r": (_list_of(RATIONAL), None, LEBESGUE),
+        "r_min": (RATIONAL, Fraction(3, 2), ("in [1, 2]", lambda r: 1 <= r <= 2)),
+        "r_max": (RATIONAL, Fraction(2), LEBESGUE),
+        "r_count": (INT, 50, AT_LEAST_1),
+        "s": (_list_of(RATIONAL), None, None),
+        "s_offsets": (_list_of(RATIONAL), None, None)}}, None, _check_ledger),
+    "volumes": ({"params": {
+        "case": (_word(*VOLUME_CASES), REQUIRED, None),
+        "samples": (INT, 10 ** 6, AT_LEAST_1)}}, _VOLUME_AXIS_NAMES, None),
+    "constants": ({
+        "grid": {"nx": (INT, 32, GRID_SIZE), "nt": (INT, 64, GRID_SIZE)},
+        "regions": {"signs": (SIGNS, ("+", "+", "+"), None),
+                    "compare_signs": (SIGNS, None, None)},
+        "ascent": {"r": (RATIONAL, Fraction(2), LEBESGUE),
+                   "restarts": (INT, 6, AT_LEAST_1),
+                   "max_iters": (INT, 60, AT_LEAST_1),
+                   "tol": (FLOAT, 1e-7, POSITIVE)}}, _CONSTANT_AXIS_NAMES, None),
+    "solve": ({
+        "grid": {"nx": (INT, 16, GRID_SIZE), "nt": (INT, 8, GRID_SIZE), **SPACING},
+        "params": {
+            "nonlinearity": (_word(*NONLINEARITY_KINDS), FULL_GRAD_SQUARE, None),
+            "direction": (_word(*DIRECTIONS), None, None),
+            "amplitude": (FLOAT, 1e-3, None),
+            "mode": (_list_of(INT, length=2), (1, 0), None),
+            "t_final": (FLOAT, 0.1, POSITIVE),
+            "n_steps": (INT, 64, (">= 2", lambda n: n >= 2)),
+            "picard_tol": (FLOAT, 1e-10, POSITIVE),
+            "picard_max": (INT, 30, AT_LEAST_1),
+            "dealias": (BOOL, True, None)}}, None, None),
+    "scaling": ({
+        "grid": {"nx": (INT, 32, GRID_SIZE), "nt": (INT, 8, GRID_SIZE), **SPACING},
+        "params": {"s": (_list_of(RATIONAL), REQUIRED, None),
+                   "r": (_list_of(RATIONAL), REQUIRED, LEBESGUE),
+                   "lambda": (_list_of(INT), (2, 4), DYADIC),
+                   # unset: d_xi * (nx // 4), see _check_scaling
+                   "band_limit": (FLOAT, None, POSITIVE)}}, None, _check_scaling),
+    "strichartz": ({"params": {
+        "ensemble": (INT, 8, AT_LEAST_1),
+        "q_t": (FLOAT, 4.0, (">= 4", lambda q: q >= 4)),
+        "resolutions": (_list_of(INT), (32, 64, 128, 256), GRID_SIZE),
+        "nt": (INT, 64, GRID_SIZE)}}, None, None),
+}
+
+
+def _read_section(name: str, raw: dict, table: dict) -> dict:
+    """Typed value of every key of table in section name, whose raw strings
+    are raw; an absent key takes its default."""
+    for key, text in raw.items():
+        if key not in table:
+            raise ConfigError(f"unknown key, got {text!r}", name, key)
+    values = {}
+    for key, ((type_name, parse), default, allowed) in table.items():
+        if key not in raw:
+            if default is REQUIRED:
+                raise ConfigError("missing required key", name, key)
+            values[key] = default
+            continue
+        text = raw[key]
+        try:
+            value = parse(text.strip())
+        except (ValueError, LookupError, ArithmeticError):
+            raise ConfigError(f"must be {type_name}, got {text!r}",
+                              name, key) from None
+        try:
+            in_range = allowed is None or all(
+                map(allowed[1], value if isinstance(value, tuple) else (value,)))
+        except ValueError:
+            in_range = False
+        if not in_range:
+            raise ConfigError(f"must be {allowed[0]}, got {text!r}", name, key)
+        values[key] = value
+    return values
+
+
+def _parse_sweeps(values: dict, axes: dict):
+    """(sweep name, axis, axis values, base point) per [sweep.<name>] section
+    of the resolved values, whose keys are the axes' names in lower case.
+
+    Exactly one axis may take several values; base holds the values of the
+    others that are given.
+    """
+    parsed = []
+    for section in sorted(values):
+        if section.startswith("sweep."):
+            point = {axis: values[section][axis.lower()] for axis in axes
+                     if values[section][axis.lower()] is not None}
+            varying = [axis for axis, v in point.items() if len(v) > 1]
+            if len(varying) != 1:
+                raise ConfigError("exactly one axis may vary per sweep", section)
+            axis = varying[0]
+            parsed.append((section[len("sweep."):], axis, point[axis],
+                           {k: v[0] for k, v in point.items() if k != axis}))
+    if not parsed:
+        raise ConfigError("no [sweep.<name>] sections given")
+    return parsed
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -76,22 +257,51 @@ class ExperimentConfig:
     workers: int | None = None
     out_dir: str = "results"
 
-    def section(self, name, required=False) -> dict:
-        if name not in self.sections:
-            if required:
-                raise ConfigError("missing section", section=name)
-            return {}
-        return self.sections[name]
+    def section(self, name) -> dict:
+        return self.sections.get(name, {})
+
+    @cached_property
+    def values(self) -> dict:
+        """section -> {key: typed value} for every key of the kind's schema
+        and of each [sweep.<name>] section, checked before any work."""
+        if self.kind not in SCHEMAS:
+            raise ConfigError(f"kind must be one of {EXPERIMENT_KINDS}, got "
+                              f"{self.kind!r}", "experiment", "kind")
+        tables, axes, check = SCHEMAS[self.kind]
+        tables = dict(tables)
+        for name in self.sections:
+            if axes and name.startswith("sweep."):
+                tables[name] = {axis.lower(): key for axis, key in axes.items()}
+            elif name not in tables and name != "experiment":
+                raise ConfigError("unknown section", name)
+        values = {name: _read_section(name, self.section(name), table)
+                  for name, table in tables.items()}
+        values["experiment"] = {key: getattr(self, key) for key in _EXPERIMENT}
+        if axes:
+            _parse_sweeps(values, axes)
+        if check:
+            check(values, self)
+        return values
 
 
-def _find_line(text: str, key: str) -> int | None:
-    for i, line in enumerate(text.splitlines(), start=1):
-        if line.strip().lower().startswith(key.lower()):
-            return i
-    return None
+def _find_line(text: str, section: str, key: str | None = None) -> int | None:
+    """Line of key (the whole key, in any case) inside [section], else of
+    the [section] header."""
+    current, found = None, None
+    for number, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line.startswith("["):
+            current = line[1:line.rfind("]")]
+            if current == section:
+                found = number
+        elif (current == section and key
+              and line.replace(":", "=").split("=")[0].strip().lower() == key):
+            return number
+    return found
 
 
 def load_config(path) -> ExperimentConfig:
+    """Read an INI config and check it against its kind's schema."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
@@ -99,102 +309,30 @@ def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
+        sections = {name: dict(parser.items(name)) for name in parser.sections()}
+        exp = _read_section("experiment", sections.get("experiment", {}),
+                            _EXPERIMENT)
+        cfg = ExperimentConfig(sections=sections, path=str(path), **exp)
+        cfg.values   # the schema pass, here so that errors carry their line
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
-    sections = {name: dict(parser.items(name)) for name in parser.sections()}
-    exp = sections.get("experiment")
-    if exp is None:
-        raise ConfigError("missing section", section="experiment")
-    kind = exp.get("kind")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"kind must be one of {EXPERIMENT_KINDS}, got {kind!r}",
-                          section="experiment", key="kind",
-                          line=_find_line(text, "kind"))
-    if "seed" not in exp:
-        raise ConfigError("seed is mandatory", section="experiment", key="seed",
-                          line=_find_line(text, "seed"))
-    try:
-        seed = int(exp["seed"])
-    except ValueError as exc:
-        raise ConfigError(f"seed must be an integer, got {exp['seed']!r}",
-                          section="experiment", key="seed",
-                          line=_find_line(text, "seed")) from exc
-    workers = None
-    if "workers" in exp:
-        try:
-            workers = int(exp["workers"])
-        except ValueError as exc:
-            raise ConfigError(f"workers must be an integer, got {exp['workers']!r}",
-                              section="experiment", key="workers",
-                              line=_find_line(text, "workers")) from exc
-    return ExperimentConfig(kind=kind, seed=seed, sections=sections,
-                            path=str(path), workers=workers)
-
-
-def _parse_scalar(raw: str):
-    raw = raw.strip()
-    low = raw.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    if low in ("2pi", "2*pi"):
-        return TWO_PI
-    for parse in (int, float, Fraction):
-        try:
-            return parse(raw)
-        except (ValueError, ZeroDivisionError):
-            pass
-    return raw
-
-
-_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number"}
-
-
-def get_value(section: dict, key: str, default=None, required=False,
-              section_name="", expect=None):
-    """Parsed value of key; with expect (bool, int or float) any other type is
-    a ConfigError, so "maybe" is not a boolean, 64.5 is not an integer and
-    nan is not a float; expect=float also takes ints and rationals."""
-    if key not in section:
-        if required:
-            raise ConfigError("missing required key", section=section_name, key=key)
-        return default
-    value = _parse_scalar(section[key])
-    if expect is float:
-        finite = (type(value) in (int, float, Fraction)
-                  and abs(value) <= sys.float_info.max)
-        value = float(value) if finite else None
-    if expect is not None and type(value) is not expect:
-        raise ConfigError(f"must be {_TYPE_NAMES[expect]}, got {section[key]!r}",
-                          section=section_name, key=key)
-    return value
-
-
-def get_list(section: dict, key: str, default=None, required=False,
-             section_name="") -> list:
-    if key not in section:
-        if required:
-            raise ConfigError("missing required key", section=section_name, key=key)
-        return list(default) if default is not None else []
-    items = [_parse_scalar(tok) for tok in section[key].split()]
-    if required and not items:
-        raise ConfigError("list must be nonempty", section=section_name, key=key)
-    return items
+    except ConfigError as exc:
+        raise ConfigError(exc.message, exc.section, exc.key,
+                          _find_line(text, exc.section, exc.key)) from None
+    return cfg
 
 
 def resolve_workers(flag_value=None) -> int:
     """--workers flag beats CONEWAVE_WORKERS beats the CPUs this process may
-    run on (its affinity mask where the platform has one)."""
-    if flag_value is not None:
-        return max(1, int(flag_value))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-    return _affinity_count()
+    run on (its affinity mask where the platform has one); the flag and the
+    variable are checked as [experiment] workers is."""
+    source = "--workers"
+    if flag_value is None:
+        source, flag_value = WORKERS_ENV, os.environ.get(WORKERS_ENV)
+        if not flag_value:
+            return _affinity_count()
+    table = {"workers": _EXPERIMENT["workers"]}
+    return _read_section(source, {"workers": str(flag_value)}, table)["workers"]
 
 
 def _affinity_count() -> int:
@@ -328,29 +466,15 @@ def run_tasks(name: str, task_kwargs: list, workers: int):
 # experiment drivers
 # ---------------------------------------------------------------------------
 
-def _grid_from_config(cfg: ExperimentConfig, default_nx=32, default_nt=64) -> GridSpec:
-    sec = cfg.section("grid")
-    nx = get_value(sec, "nx", default_nx, section_name="grid", expect=int)
-    nt = get_value(sec, "nt", default_nt, section_name="grid", expect=int)
-    d_xi = get_value(sec, "d_xi", 1.0, section_name="grid", expect=float)
-    d_tau = get_value(sec, "d_tau", 1.0, section_name="grid", expect=float)
-    for key, spacing in (("d_xi", d_xi), ("d_tau", d_tau)):
-        if not spacing > 0:
-            raise ConfigError(f"must be > 0, got {sec[key]!r}",
-                              section="grid", key=key)
-    try:
-        return GridSpec(nx=nx, nt=nt, spatial_period=TWO_PI / d_xi,
-                        time_period=TWO_PI / d_tau)
-    except ValueError as exc:
-        raise ConfigError(str(exc), section="grid") from exc
+def _grid_spec(grid: dict) -> GridSpec:
+    return GridSpec(nx=grid["nx"], nt=grid["nt"],
+                    spatial_period=TWO_PI / grid["d_xi"],
+                    time_period=TWO_PI / grid["d_tau"])
 
 
 @register_task("ledger_point")
-def _ledger_point(r_num, r_den, s_num, s_den):
-    r = Fraction(r_num, r_den)
-    s = Fraction(s_num, s_den)
-    sigma = s - 1
-    interval = feasible_b(r, sigma)
+def _ledger_point(r, s):
+    interval = feasible_b(r, s - 1)
     return {
         "r": r,
         "s": s,
@@ -360,36 +484,16 @@ def _ledger_point(r_num, r_den, s_num, s_den):
     }
 
 
-def _ledger_tasks(cfg: ExperimentConfig):
-    sec = cfg.section("params", required=True)
-    r_values = [_as_fraction(v) for v in get_list(sec, "r", section_name="params")]
-    if not r_values:
-        r_min = _as_fraction(get_value(sec, "r_min", Fraction(3, 2),
-                                       section_name="params"))
-        r_max = _as_fraction(get_value(sec, "r_max", Fraction(2),
-                                       section_name="params"))
-        count = get_value(sec, "r_count", 50, section_name="params", expect=int)
-        if count < 1:
-            raise ConfigError("r_count must be >= 1", section="params", key="r_count")
-        step = (r_max - r_min) / count
-        r_values = [r_min + step * (i + 1) for i in range(count)]
-    s_values = [_as_fraction(v) for v in get_list(sec, "s", section_name="params")]
-    s_offsets = [_as_fraction(v) for v in
-                 get_list(sec, "s_offsets", section_name="params")]
-    if not s_values and not s_offsets:
-        raise ConfigError("need s or s_offsets", section="params", key="s")
-    tasks = []
-    for r in r_values:
-        pts = list(s_values)
-        pts += [VOLUME_EXPONENTS[HLH_HARD]["N1"] / r + 1 + off for off in s_offsets]
-        for s in pts:
-            tasks.append(dict(r_num=r.numerator, r_den=r.denominator,
-                              s_num=s.numerator, s_den=s.denominator))
-    return tasks
-
-
 def _run_ledger(cfg: ExperimentConfig, workers: int, out: Path):
-    tasks = _ledger_tasks(cfg)
+    p = cfg.values["params"]
+    r_values = p["r"]
+    if r_values is None:
+        step = (p["r_max"] - p["r_min"]) / p["r_count"]
+        r_values = [p["r_min"] + step * (i + 1) for i in range(p["r_count"])]
+    tasks = [dict(r=r, s=s) for r in r_values
+             for s in (p["s"] or ()) + tuple(
+                 VOLUME_EXPONENTS[HLH_HARD]["N1"] / r + 1 + off
+                 for off in p["s_offsets"] or ())]
     results, errors = run_tasks("ledger_point", tasks, workers)
     records = [r for r in results if r is not None]
     files = [emit_results(records, "csv", out / "ledger.csv",
@@ -400,58 +504,11 @@ def _run_ledger(cfg: ExperimentConfig, workers: int, out: Path):
 register_task("volume_point")(volume_point)
 
 
-def _parse_sweeps(cfg: ExperimentConfig, names: dict, required=False):
-    """(sweep name, axis, axis values, base point) per [sweep.<name>] section.
-
-    names maps config keys to axis names.  Any other key is an error, and
-    with required so is a missing one; every list must be nonempty and free
-    of repeats, exactly one axis may take several values, and base holds the
-    others' values.
-    """
-    sweeps = [(name[len("sweep."):], sec)
-              for name, sec in sorted(cfg.sections.items())
-              if name.startswith("sweep.")]
-    if not sweeps:
-        raise ConfigError("no [sweep.<name>] sections given")
-    parsed = []
-    for sweep_name, sec in sweeps:
-        section = f"sweep.{sweep_name}"
-        for key in sec:
-            if key not in names:
-                raise ConfigError(f"unknown parameter {key!r}",
-                                  section=section, key=key)
-        point = {}
-        for key, axis in names.items():
-            if required or key in sec:
-                values = get_list(sec, key, required=True, section_name=section)
-                if len(set(values)) != len(values):
-                    raise ConfigError(f"a sweep list may not repeat a value, "
-                                      f"got {sec[key]!r}", section=section, key=key)
-                point[axis] = values
-        varying = [k for k, v in point.items() if len(v) > 1]
-        if len(varying) != 1:
-            raise ConfigError("exactly one axis may vary per sweep", section=section)
-        axis = varying[0]
-        parsed.append((sweep_name, axis, point[axis],
-                       {k: v[0] for k, v in point.items() if k != axis}))
-    return parsed
-
-
-_VOLUME_AXIS_NAMES = {"n0": "N0", "n1": "N1", "l1": "L1", "l2": "L2",
-                      "gamma": "gamma"}
-_CONSTANT_AXIS_NAMES = {"n0": "N0", "n1": "N1", "n2": "N2", "l1": "L1", "l2": "L2"}
-
-
 def _run_volumes(cfg: ExperimentConfig, workers: int, out: Path):
-    sec = cfg.section("params", required=True)
-    case = get_value(sec, "case", required=True, section_name="params")
-    if case not in VOLUME_CASES:
-        raise ConfigError(f"case must be one of {VOLUME_CASES}, got {case!r}",
-                          section="params", key="case")
-    samples = get_value(sec, "samples", 10 ** 6, section_name="params", expect=int)
-    sweeps = _parse_sweeps(cfg, _VOLUME_AXIS_NAMES)
-    tasks = [dict(case=case, point=dict(base, **{axis: value}), samples=samples,
-                  seed=cfg.seed + 1000 * i + vi)
+    p = cfg.values["params"]
+    sweeps = _parse_sweeps(cfg.values, _VOLUME_AXIS_NAMES)
+    tasks = [dict(case=p["case"], point=dict(base, **{axis: value}),
+                  samples=p["samples"], seed=cfg.seed + 1000 * i + vi)
              for i, (_, axis, values, base) in enumerate(sweeps)
              for vi, value in enumerate(values)]
     results, errors = run_tasks("volume_point", tasks, workers)
@@ -467,7 +524,7 @@ def _run_volumes(cfg: ExperimentConfig, workers: int, out: Path):
         except ValueError as exc:
             errors.append(f"sweep.{sweep_name}: {exc}")
             continue
-        fits.append({"case": case, "axis": axis, "exponent": f.exponent,
+        fits.append({"case": p["case"], "axis": axis, "exponent": f.exponent,
                      "intercept": f.intercept, "r_squared": f.r_squared})
     keys = sorted({k for rec in series for k in rec})
     for rec in series:
@@ -485,60 +542,32 @@ def _run_volumes(cfg: ExperimentConfig, workers: int, out: Path):
 def _constant_point(nx, nt, N0, N1, N2, L1, L2, signs, r, restarts, max_iters,
                     tol, seed, sweep, axis):
     grid = GridSpec(nx=nx, nt=nt, spatial_period=TWO_PI, time_period=TWO_PI)
-    regions = BallConeRegions(N=(N0, N1, N2), L=(L1, L2), signs=tuple(signs))
+    sign_values = tuple(+1 if s == "+" else -1 for s in signs)
+    regions = BallConeRegions(N=(N0, N1, N2), L=(L1, L2), signs=sign_values)
     cfg = AscentConfig(restarts=restarts, max_iters=max_iters, tol=tol, seed=seed)
-    m = best_constant(grid, regions.A0, regions.A1, regions.A2,
-                      _as_fraction(r), cfg, N=(N0, N1, N2), L=(L1, L2),
-                      signs=tuple(signs))
+    m = best_constant(grid, regions.A0, regions.A1, regions.A2, r, cfg,
+                      N=(N0, N1, N2), L=(L1, L2), signs=sign_values)
     return {"sweep": sweep, "axis": axis, "N0": N0, "N1": N1, "N2": N2,
-            "L1": L1, "L2": L2, "signs": "".join("+" if s > 0 else "-" for s in signs),
-            "r": _as_fraction(r), "measured_C": m.measured_C,
+            "L1": L1, "L2": L2, "signs": "".join(signs),
+            "r": r, "measured_C": m.measured_C,
             "iterations": m.iterations, "converged": m.converged,
             "restarts": m.restarts, "seed": seed, "degenerate": m.degenerate,
             "trace": m.trace}
 
 
-def _parse_signs(raw) -> tuple:
-    toks = str(raw).split()
-    if len(toks) == 1:
-        toks = list(toks[0])
-    if len(toks) != 3 or any(t not in "+-" for t in toks):
-        raise ConfigError(f"signs must be three of +/-, got {raw!r}")
-    return tuple(+1 if t == "+" else -1 for t in toks)
-
-
 def _run_constants(cfg: ExperimentConfig, workers: int, out: Path):
-    grid_sec = cfg.section("grid")
-    for key in ("d_xi", "d_tau"):
-        if key in grid_sec:
-            raise ConfigError(f"the constants lattice has period 2 pi, so no "
-                              f"spacing may be set, got {grid_sec[key]!r}",
-                              section="grid", key=key)
-    nx = get_value(grid_sec, "nx", 32, section_name="grid", expect=int)
-    nt = get_value(grid_sec, "nt", 64, section_name="grid", expect=int)
-    ascent = cfg.section("ascent")
-    r = get_value(ascent, "r", Fraction(2), section_name="ascent")
-    restarts = get_value(ascent, "restarts", 6, section_name="ascent", expect=int)
-    max_iters = get_value(ascent, "max_iters", 60, section_name="ascent", expect=int)
-    tol = get_value(ascent, "tol", 1e-7, section_name="ascent", expect=float)
-    base_signs = _parse_signs(get_value(cfg.section("regions"), "signs", "+ + +",
-                                        section_name="regions"))
-    alt_raw = get_value(cfg.section("regions"), "compare_signs", None,
-                        section_name="regions")
-    alt_signs = _parse_signs(alt_raw) if alt_raw else None
-
+    regions = cfg.values["regions"]
+    patterns = [(label, signs) for label, signs in (
+        ("base", regions["signs"]), ("alt", regions["compare_signs"])) if signs]
     tasks = []
-    for sweep_name, axis, values, base in _parse_sweeps(
-            cfg, _CONSTANT_AXIS_NAMES, required=True):
+    for sweep_name, axis, values, base in _parse_sweeps(cfg.values,
+                                                         _CONSTANT_AXIS_NAMES):
         for val in values:
-            point = dict(base, **{axis: val})
-            for sgn_label, sgn in (("base", base_signs),) + (
-                    (("alt", alt_signs),) if alt_signs else ()):
-                tasks.append(dict(nx=nx, nt=nt, r=r, restarts=restarts,
-                                  max_iters=max_iters, tol=tol,
+            for sgn_label, sgn in patterns:
+                tasks.append(dict(cfg.values["grid"], **cfg.values["ascent"],
                                   seed=cfg.seed + 101 * len(tasks),
                                   sweep=f"{sweep_name}:{sgn_label}", axis=axis,
-                                  signs=sgn, **point))
+                                  signs=sgn, **dict(base, **{axis: val})))
     results, errors = run_tasks("constant_point", tasks, workers)
     records = [r_ for r_ in results if r_ is not None]
     key = ["sweep", "N0", "N1", "N2", "L1", "L2", "signs"]
@@ -582,22 +611,13 @@ def _single_mode_data(grid: GridSpec, mode, amplitude: float) -> CauchyData:
 
 def _run_solve(cfg: ExperimentConfig, workers: int, out: Path):
     del workers
-    grid = _grid_from_config(cfg, default_nx=16, default_nt=8)
-    sec = cfg.section("params", required=True)
-    kind_name = get_value(sec, "nonlinearity", "full_grad_square",
-                          section_name="params")
-    direction = get_value(sec, "direction", None, section_name="params")
-    kind = Nonlinearity(kind_name, direction)
-    amplitude = get_value(sec, "amplitude", 1e-3, section_name="params", expect=float)
-    mode = get_list(sec, "mode", [1, 0], section_name="params")
-    T = get_value(sec, "t_final", 0.1, section_name="params", expect=float)
-    solver_cfg = SolverConfig(
-        T=T, n_steps=get_value(sec, "n_steps", 64, section_name="params", expect=int),
-        picard_tol=get_value(sec, "picard_tol", 1e-10, section_name="params",
-                             expect=float),
-        picard_max=get_value(sec, "picard_max", 30, section_name="params", expect=int),
-        dealias=get_value(sec, "dealias", True, section_name="params", expect=bool))
-    data = _single_mode_data(grid, mode, amplitude)
+    grid = _grid_spec(cfg.values["grid"])
+    p = cfg.values["params"]
+    kind = Nonlinearity(p["nonlinearity"], p["direction"])
+    solver_cfg = SolverConfig(T=p["t_final"], n_steps=p["n_steps"],
+                              picard_tol=p["picard_tol"],
+                              picard_max=p["picard_max"], dealias=p["dealias"])
+    data = _single_mode_data(grid, p["mode"], p["amplitude"])
     traj, report = picard_solve(data, kind, solver_cfg)
     oracle = rk4_solve(data, kind, solver_cfg)
     records = []
@@ -629,22 +649,14 @@ def _run_solve(cfg: ExperimentConfig, workers: int, out: Path):
 
 def _run_scaling(cfg: ExperimentConfig, workers: int, out: Path):
     del workers
-    grid = _grid_from_config(cfg, default_nx=32, default_nt=8)
-    sec = cfg.section("params", required=True)
-    s_list = get_list(sec, "s", required=True, section_name="params")
-    r_list = get_list(sec, "r", required=True, section_name="params")
-    if len(s_list) != len(r_list):
-        raise ConfigError("s and r lists must zip", section="params", key="r")
-    lams = get_list(sec, "lambda", [2, 4], section_name="params")
-    band = get_value(sec, "band_limit", grid.d_xi * (grid.nx // 4),
-                     section_name="params", expect=float)
+    grid = _grid_spec(cfg.values["grid"])
+    p = cfg.values["params"]
     records = []
-    for s, r in zip(s_list, r_list):
-        data = random_data(grid, float(s), _as_fraction(r), cfg.seed, band)
-        for lam in lams:
-            rep = scaling_law_check(data.f, float(s), float(_as_fraction(r)), int(lam))
-            records.append({"s": _as_fraction(s), "r": _as_fraction(r),
-                            "lambda": int(lam), "ratio": rep.ratio,
+    for s, r in zip(p["s"], p["r"]):
+        data = random_data(grid, float(s), r, cfg.seed, p["band_limit"])
+        for lam in p["lambda"]:
+            rep = scaling_law_check(data.f, float(s), float(r), lam)
+            records.append({"s": s, "r": r, "lambda": lam, "ratio": rep.ratio,
                             "predicted": rep.predicted,
                             "rel_error": rep.rel_error, "aliased": rep.aliased})
     files = [emit_results(records, "csv", out / "scaling.csv")]
@@ -655,24 +667,9 @@ register_task("strichartz_member")(strichartz_member)
 
 
 def _run_strichartz(cfg: ExperimentConfig, workers: int, out: Path):
-    sec = cfg.section("params", required=True)
-    ensemble = get_value(sec, "ensemble", 8, section_name="params", expect=int)
-    if ensemble < 1:
-        raise ConfigError(f"must be >= 1, got {sec['ensemble']!r}",
-                          section="params", key="ensemble")
-    q_t = get_value(sec, "q_t", 4.0, section_name="params", expect=float)
-    if q_t < 4:
-        raise ConfigError(f"must be >= 4, got {sec['q_t']!r}",
-                          section="params", key="q_t")
-    resolutions = get_list(sec, "resolutions", [32, 64, 128, 256],
-                           section_name="params")
-    if not resolutions or any(type(v) is not int or not is_dyadic(v) or v < 8
-                              for v in resolutions):
-        raise ConfigError(f"must be dyadic integers 2**j >= 8, got "
-                          f"{sec['resolutions']!r}", section="params",
-                          key="resolutions")
-    nt = get_value(sec, "nt", 64, section_name="params", expect=int)
-    tasks = strichartz_tasks(ensemble, q_t, resolutions, cfg.seed, nt=nt)
+    p = cfg.values["params"]
+    tasks = strichartz_tasks(p["ensemble"], p["q_t"], p["resolutions"],
+                             cfg.seed, nt=p["nt"])
     ratios, errors = run_tasks("strichartz_member", tasks, workers)
     probe = strichartz_summary(tasks, ratios)
     files = [emit_results(probe.records, "csv", out / "ratios.csv",
@@ -709,9 +706,8 @@ def run_experiment(config, workers=None, out_dir=None, seed=None) -> dict:
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
     if seed is not None:
-        config = ExperimentConfig(kind=config.kind, seed=int(seed),
-                                  sections=config.sections, path=config.path,
-                                  workers=config.workers, out_dir=config.out_dir)
+        config = replace(config, seed=int(seed))
+    config.values     # the schema pass, before any work
     # precedence: --workers flag, then CONEWAVE_WORKERS, then the config key
     if workers is None and os.environ.get(WORKERS_ENV) is None:
         workers = config.workers
@@ -723,8 +719,6 @@ def run_experiment(config, workers=None, out_dir=None, seed=None) -> dict:
     files = []
     try:
         files, errors = _RUNNERS[config.kind](config, workers, out)
-    except ConfigError:
-        raise
     except Exception as exc:
         errors = [f"{type(exc).__name__}: {exc}"]
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -732,7 +726,10 @@ def run_experiment(config, workers=None, out_dir=None, seed=None) -> dict:
         "kind": config.kind,
         "seed": config.seed,
         "version": __version__,
-        "config": config.sections,
+        "config": {name: {key: [_json_cell(x) for x in v]
+                          if isinstance(v, tuple) else _json_cell(v)
+                          for key, v in section.items()}
+                   for name, section in config.values.items()},
         "config_path": config.path,
         "workers": workers,
         "environment": {"python": platform.python_version(),

@@ -174,24 +174,6 @@ class Band(Region):
 
 
 @dataclass(frozen=True)
-class Modulation(Region):
-    """<|tau| - |xi|> in [L, 2L), the dyadic distance-to-cone band."""
-
-    L: int
-
-    def __post_init__(self):
-        require_dyadic("L", self.L)
-
-    def contains(self, tau, xi1, xi2):
-        r = np.sqrt(xi1 ** 2 + xi2 ** 2)
-        m = np.sqrt(1.0 + (np.abs(tau) - r) ** 2)
-        return (m >= self.L) & (m < 2 * self.L)
-
-    def bounding_box(self):
-        return (_FULL_AXIS, _FULL_AXIS, _FULL_AXIS)
-
-
-@dataclass(frozen=True)
 class FullSpace(Region):
     """All of R^{1+2}; the identity for projections and intersections."""
 

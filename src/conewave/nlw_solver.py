@@ -56,6 +56,9 @@ FULL_GRAD_SQUARE = "full_grad_square"
 SPATIAL_GRAD_SQUARE = "spatial_grad_square"
 DERIV_OF_SQUARE = "deriv_of_square"
 NO_FORCING = "none"
+NONLINEARITY_KINDS = (FULL_GRAD_SQUARE, SPATIAL_GRAD_SQUARE, DERIV_OF_SQUARE,
+                      NO_FORCING)
+DIRECTIONS = ("t", "x1", "x2")
 
 
 @dataclass(frozen=True)
@@ -72,11 +75,10 @@ class Nonlinearity:
     direction: str | None = None
 
     def __post_init__(self):
-        if self.kind not in (FULL_GRAD_SQUARE, SPATIAL_GRAD_SQUARE,
-                             DERIV_OF_SQUARE, NO_FORCING):
+        if self.kind not in NONLINEARITY_KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         if self.kind == DERIV_OF_SQUARE:
-            if self.direction not in ("t", "x1", "x2"):
+            if self.direction not in DIRECTIONS:
                 raise ValueError("deriv_of_square needs direction 't', 'x1' or 'x2'")
         elif self.direction is not None:
             raise ValueError(f"{self.kind} takes no direction")

@@ -13,7 +13,8 @@ import pytest
 from conewave import (emit_results, load_config, run_experiment,
                       volume_exponent_fit)
 from conewave.cli import main as cli_main
-from conewave.experiments import ConfigError, format_cell, resolve_workers
+from conewave.experiments import (ConfigError, ExperimentConfig, format_cell,
+                                  resolve_workers)
 from conewave.frequency_geometry import HLH_HARD
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -450,7 +451,9 @@ def test_cli_rejects_bad_strichartz_param(tmp_path, capsys, key, raw):
     ("constants.ini", "ascent", "max_iters", "80.5"),
     ("constants.ini", "grid", "nx", "32.0"),
     ("ledger.ini", "params", "r_count", "50.5"),
-    ("solve.ini", "grid", "nt", "8.5")])
+    ("solve.ini", "grid", "nt", "8.5"),
+    ("solve.ini", "params", "mode", "1.5 0"),
+    ("scaling.ini", "params", "lambda", "2.5 4")])
 def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw):
     text = (CONFIG_DIR / config).read_text(encoding="utf-8")
     lines = [f"{key} = {raw}" if line.startswith(f"{key} =") else line
@@ -485,7 +488,15 @@ def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw
     ("constants.ini", "grid", "d_xi", "1"),
     ("constants.ini", "ascent", "tol", "small"),
     ("scaling.ini", "params", "band_limit", "-inf"),
-    ("strichartz.ini", "params", "q_t", "yes")])
+    ("strichartz.ini", "params", "q_t", "yes"),
+    ("volumes_hard.ini", "params", "samples", "0"),
+    ("constants.ini", "ascent", "r", "3"),
+    ("solve.ini", "params", "n_steps", "0"),
+    ("solve.ini", "params", "t_final", "-1"),
+    ("solve.ini", "params", "nonlinearity", "foo"),
+    ("solve.ini", "params", "mode", "1"),
+    ("constants.ini", "ascent", "restarts", "0"),
+    ("constants.ini", "regions", "signs", "+ + x")])
 def test_cli_rejects_bad_number_key(tmp_path, capsys, config, section,
                                     key, raw):
     text = (CONFIG_DIR / config).read_text(encoding="utf-8")
@@ -502,6 +513,119 @@ def test_cli_rejects_bad_number_key(tmp_path, capsys, config, section,
     assert record["error"] == "config"
     assert (record["section"], record["key"]) == (section, key)
     assert raw in record["message"]
+
+
+def _insert_line(config, section, entry):
+    """Shipped config text with entry added as the last line of [section],
+    which is appended when absent; and the entry's line number."""
+    lines = (CONFIG_DIR / config).read_text(encoding="utf-8").splitlines()
+    if f"[{section}]" not in lines:
+        lines += ["", f"[{section}]"]
+    at = lines.index(f"[{section}]") + 1
+    while at < len(lines) and not lines[at].startswith("["):
+        at += 1
+    while not lines[at - 1].strip():
+        at -= 1
+    lines.insert(at, entry)
+    return "\n".join(lines) + "\n", at + 1
+
+
+def _cli_config_error(tmp_path, capsys, config, text, extra=()):
+    path = write_config(tmp_path, text)
+    kind = load_config(CONFIG_DIR / config).kind
+    rc = cli_main([kind, "--config", str(path), "--out", str(tmp_path / "o"),
+                   *extra])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    return record
+
+
+@pytest.mark.parametrize("config, section, entry, key", [
+    ("solve.ini", "params", "amplitud = 5", "amplitud"),
+    ("solve.ini", "solver", "amplitud = 5", None),
+    ("solve.ini", "params", "n_step = 4", "n_step"),
+    ("volumes_hard.ini", "params", "sampels = 1000", "sampels"),
+    ("volumes_easy.ini", "grid", "nx = 16", None),
+    ("constants.ini", "ascent", "rr = 8/5", "rr"),
+    ("constants.ini", "grid", "n = 16", "n"),
+    ("constants.ini", "ascent", "nx = 16", "nx"),           # a [grid] key
+    ("constants.ini", "regions", "sign = +", "sign"),       # after signs
+    ("ledger.ini", "experiment", "sede = 2", "sede"),
+    ("ledger.ini", "sweep.r", "r = 7/4 2", None),
+    ("scaling.ini", "params", "lamda = 2", "lamda"),
+    ("strichartz.ini", "params", "resolution = 32 64", "resolution"),
+    ("strichartz.ini", "grid", "nx = 32", None)])
+def test_cli_rejects_unknown_key_or_section(tmp_path, capsys, config, section,
+                                            entry, key):
+    # each of these ran with exit 0, the misspelled key left at its default
+    text, line = _insert_line(config, section, entry)
+    record = _cli_config_error(tmp_path, capsys, config, text)
+    if key is None:       # an unknown section is reported at its header
+        line -= 1
+    assert (record["section"], record["key"], record["line"]) == (section, key, line)
+
+
+def test_ledger_rejects_r_list_with_generated_grid(tmp_path, capsys):
+    # an explicit r list used to win silently over r_min, r_max and r_count
+    text, line = _insert_line("ledger.ini", "params", "r = 7/4")
+    record = _cli_config_error(tmp_path, capsys, "ledger.ini", text)
+    assert (record["section"], record["key"], record["line"]) == ("params", "r", line)
+
+
+@pytest.mark.parametrize("where, value", [("config", "0"), ("flag", "0"),
+                                          ("flag", "-3"), ("env", "0")])
+def test_cli_rejects_workers_below_one(tmp_path, capsys, monkeypatch, where,
+                                       value):
+    # each was clamped to one worker; the flag and the variable are checked
+    # even where the config sets a valid count
+    monkeypatch.delenv("CONEWAVE_WORKERS", raising=False)
+    entry = f"workers = {value}" if where == "config" else "workers = 2"
+    text, _ = _insert_line("ledger.ini", "experiment", entry)
+    if where == "env":
+        monkeypatch.setenv("CONEWAVE_WORKERS", value)
+    flag = ["--workers", value] if where == "flag" else []
+    record = _cli_config_error(tmp_path, capsys, "ledger.ini", text, flag)
+    assert record["key"] == "workers" and value in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_built_in_code_is_checked_before_any_work(tmp_path):
+    sections = {"params": {"case": "HLH_hard", "samples": "0"},
+                "sweep.l1": {"n1": "16", "l1": "1 2"}}
+    cfg = ExperimentConfig(kind="volumes", seed=1, sections=sections)
+    with pytest.raises(ConfigError) as err:
+        run_experiment(cfg, workers=1, out_dir=tmp_path / "out")
+    assert (err.value.section, err.value.key, err.value.line) == (
+        "params", "samples", None)
+    assert not (tmp_path / "out").exists()
+
+
+def _ini_text(echo):
+    """INI text of a manifest's config echo; unset keys are left out."""
+    lines = []
+    for section, keys in echo.items():
+        lines.append(f"[{section}]")
+        for key, value in keys.items():
+            if value is not None:
+                items = value if isinstance(value, list) else [value]
+                lines.append(f"{key} = " + " ".join(
+                    str(v).lower() if isinstance(v, bool) else str(v)
+                    for v in items))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.ini")))
+def test_manifest_config_echo_round_trips(tmp_path, config):
+    shipped = load_config(CONFIG_DIR / config)
+    manifest = run_experiment(shipped, workers=2, out_dir=tmp_path / "a")
+    echoed = load_config(write_config(tmp_path, _ini_text(manifest["config"])))
+    assert echoed.values == shipped.values
+    again = run_experiment(echoed, workers=2, out_dir=tmp_path / "b")
+    assert [f["name"] for f in again["files"]] == [f["name"] for f in manifest["files"]]
+    for entry in manifest["files"]:
+        assert ((tmp_path / "a" / entry["name"]).read_bytes()
+                == (tmp_path / "b" / entry["name"]).read_bytes())
 
 
 def test_cli_rejects_misspelled_constants_sweep_key(tmp_path, capsys):

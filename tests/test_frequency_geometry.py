@@ -419,7 +419,7 @@ def _volume_points():
     for name in ("volumes_hard.ini", "volumes_easy.ini"):
         cfg = load_config(CONFIG_DIR / name)
         case = cfg.sections["params"]["case"]
-        for _, axis, values, base in _parse_sweeps(cfg, _VOLUME_AXIS_NAMES):
+        for _, axis, values, base in _parse_sweeps(cfg.values, _VOLUME_AXIS_NAMES):
             points.extend((case, dict(base, **{axis: v})) for v in values)
     return points
 
