@@ -5,16 +5,13 @@ solver for quadratic-derivative wave equations on periodic 1+2D grids."""
 __version__ = "0.1.0"
 
 from .spectral_grid import (FREQUENCY, PHYSICAL, GridSpec, SpaceTimeField,
-                            SpatialField, dyadic_restrict, is_dyadic, project,
-                            transform)
-from .frequency_geometry import (AngularNet, AnnularCone, BallCone, Band,
-                                 FullSpace, HalfSpace, Intersect, Reflect,
-                                 SectorCone, Translate, VolumeEstimate, angle,
-                                 build_net, gamma0, region_volume_mc,
+                            SpatialField, dyadic_restrict, is_dyadic, transform)
+from .frequency_geometry import (AngularNet, AnnularCone, BallCone, Intersect,
+                                 Reflect, SectorCone, Translate, VolumeEstimate,
+                                 angle, build_net, gamma0, region_volume_mc,
                                  volume_exponent_fit)
-from .norms import (LebesgueExponents, NormValue, RegularityParams,
-                    critical_exponent, fl_norm, japanese_bracket, mixed_norm,
-                    scaling_law_check, sobolev_correspondence, xsb_norm, z_norm)
+from .norms import (LebesgueExponents, critical_exponent, fl_norm, mixed_norm,
+                    scaling_law_check, sobolev_correspondence)
 from .trilinear_forms import (AscentConfig, BallConeRegions,
                               ConstantMeasurement, EstimateForm, ExponentFit,
                               best_constant, eval_J, exponent_regression,
@@ -24,7 +21,7 @@ from .dyadic_ledger import (CASES, FeasibleInterval, InequalityCheck,
                             feasible_b)
 from .nlw_solver import (CauchyData, Nonlinearity, PicardReport, SolverConfig,
                          Trajectory, duhamel_apply, energy, existence_probe,
-                         free_solution, halfwave_multipliers,
-                         nonlinearity_eval, picard_solve, random_data,
-                         rk4_solve, strichartz_probe, wave_admissible)
+                         free_solution, nonlinearity_eval, picard_solve,
+                         random_data, rk4_solve, strichartz_probe,
+                         wave_admissible)
 from .experiments import ExperimentConfig, emit_results, load_config, run_experiment

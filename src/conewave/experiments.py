@@ -136,15 +136,32 @@ def _check_ledger(values, cfg):
             raise ConfigError("give r or r_min, r_max and r_count, not both",
                               "params", "r")
         p.update(dict.fromkeys(generated))   # an explicit r list uses none
+    elif p["r_min"] >= p["r_max"]:
+        raise ConfigError(f"must lie below r_max {p['r_max']}, got "
+                          f"{cfg.section('params')['r_min']!r}", "params", "r_min")
+
+
+def _check_solve(values, cfg):
+    p = values["params"]
+    try:
+        Nonlinearity(p["nonlinearity"], p["direction"])
+    except ValueError as exc:
+        raise ConfigError(str(exc), "params", "direction") from None
 
 
 def _check_scaling(values, cfg):
     p = values["params"]
     if len(p["s"]) != len(p["r"]):
         raise ConfigError("s and r lists must zip", "params", "r")
+    grid = values["grid"]
+    d_xi = _grid_spec(grid).d_xi
+    nyquist = d_xi * (grid["nx"] // 2)     # random_data's bound
     if p["band_limit"] is None:     # a quarter of the Nyquist band
-        grid = values["grid"]
-        p["band_limit"] = _grid_spec(grid).d_xi * (grid["nx"] // 4)
+        p["band_limit"] = d_xi * (grid["nx"] // 4)
+    elif p["band_limit"] >= nyquist:
+        raise ConfigError(f"must lie below Nyquist {nyquist}, got "
+                          f"{cfg.section('params')['band_limit']!r}",
+                          "params", "band_limit")
 
 
 # kind -> (section -> {key: (type, default, range)}, the [sweep.<name>] axes
@@ -179,7 +196,7 @@ SCHEMAS = {
             "n_steps": (INT, 64, (">= 2", lambda n: n >= 2)),
             "picard_tol": (FLOAT, 1e-10, POSITIVE),
             "picard_max": (INT, 30, AT_LEAST_1),
-            "dealias": (BOOL, True, None)}}, None, None),
+            "dealias": (BOOL, True, None)}}, None, _check_solve),
     "scaling": ({
         "grid": {"nx": (INT, 32, GRID_SIZE), "nt": (INT, 8, GRID_SIZE), **SPACING},
         "params": {"s": (_list_of(RATIONAL), REQUIRED, None),

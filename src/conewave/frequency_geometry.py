@@ -56,9 +56,6 @@ class Region:
         raise NotImplementedError
 
 
-_FULL_AXIS = (-math.inf, math.inf)
-
-
 @dataclass(frozen=True)
 class _Cone(Region):
     """Sign, N and L of a cone primitive, and its thickened sheet."""
@@ -153,53 +150,6 @@ def _sector_xy_box(sign, N, gamma, omega):
     xs = [2 * N * math.cos(a) for a in angles] + [0.0]
     ys = [2 * N * math.sin(a) for a in angles] + [0.0]
     return (min(xs), max(xs)), (min(ys), max(ys))
-
-
-@dataclass(frozen=True)
-class Band(Region):
-    """<xi> in [N, 2N), the bracket-weight dyadic band (all tau)."""
-
-    N: int
-
-    def __post_init__(self):
-        require_dyadic("N", self.N)
-
-    def contains(self, tau, xi1, xi2):
-        w = np.sqrt(1.0 + xi1 ** 2 + xi2 ** 2)
-        return (w >= self.N) & (w < 2 * self.N) & np.isfinite(tau)
-
-    def bounding_box(self):
-        b = math.sqrt(max((2 * self.N) ** 2 - 1.0, 0.0))
-        return (_FULL_AXIS, (-b, b), (-b, b))
-
-
-@dataclass(frozen=True)
-class FullSpace(Region):
-    """All of R^{1+2}; the identity for projections and intersections."""
-
-    def contains(self, tau, xi1, xi2):
-        return np.isfinite(tau) & np.isfinite(xi1) & np.isfinite(xi2)
-
-    def bounding_box(self):
-        return (_FULL_AXIS, _FULL_AXIS, _FULL_AXIS)
-
-
-@dataclass(frozen=True)
-class HalfSpace(Region):
-    """sign*tau >= 0 (closed: the tau = 0 plane belongs to both signs)."""
-
-    sign: int
-
-    def __post_init__(self):
-        _check_sign(self.sign)
-
-    def contains(self, tau, xi1, xi2):
-        base = tau >= 0 if self.sign > 0 else tau <= 0
-        return base & np.isfinite(xi1) & np.isfinite(xi2)
-
-    def bounding_box(self):
-        t = (0.0, math.inf) if self.sign > 0 else (-math.inf, 0.0)
-        return (t, _FULL_AXIS, _FULL_AXIS)
 
 
 @dataclass(frozen=True)

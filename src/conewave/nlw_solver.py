@@ -46,11 +46,6 @@ class CauchyData:
         return CauchyData(self.f.with_values(self.f.values * amplitude),
                           self.g.with_values(self.g.values * amplitude))
 
-    def max_imag_physical(self) -> float:
-        """Largest imaginary part after transforming to physical space."""
-        return max(float(np.abs(to_physical(self.f).values.imag).max()),
-                   float(np.abs(to_physical(self.g).values.imag).max()))
-
 
 FULL_GRAD_SQUARE = "full_grad_square"
 SPATIAL_GRAD_SQUARE = "spatial_grad_square"
@@ -174,11 +169,6 @@ def _halfwave(k, times):
     sin_tk = np.sin(tk)
     sin_over = np.divide(sin_tk, k, out=t * np.ones_like(tk), where=k > 0)
     return np.cos(tk), sin_over, k * sin_tk
-
-
-def halfwave_multipliers(grid: GridSpec, t: float):
-    """Fourier multipliers cos(t |xi|) and sin(t |xi|)/|xi| (value t at xi = 0)."""
-    return _halfwave(grid.xi_magnitude(), t)[:2]
 
 
 def _evolve(tables, f_hat, g_hat) -> np.ndarray:
@@ -468,22 +458,18 @@ class ExistenceProbe:
     threshold: float | None  # bisected loss-of-convergence amplitude
 
 
-def existence_probe(data_family, kind: Nonlinearity, config: SolverConfig,
+def existence_probe(data: CauchyData, kind: Nonlinearity, config: SolverConfig,
                     amplitudes, bisect_steps: int = 10) -> ExistenceProbe:
-    """Convergence table of the fixed-point solver over an amplitude sweep.
-
-    data_family is either a CauchyData (scaled linearly) or a callable
-    amplitude -> CauchyData.  When the sweep brackets a loss of convergence
-    the threshold is refined by bisection.
+    """Convergence table of the fixed-point solver over an amplitude sweep
+    of the linearly scaled data.  When the sweep brackets a loss of
+    convergence the threshold is refined by bisection.
     """
-    family = (data_family.scaled if isinstance(data_family, CauchyData)
-              else data_family)
     amplitudes = list(amplitudes)
     if any(b <= a for a, b in zip(amplitudes, amplitudes[1:])):
         raise ValueError("amplitudes must be strictly increasing")
 
     def run(a: float):
-        _, report = picard_solve(family(a), kind, config)
+        _, report = picard_solve(data.scaled(a), kind, config)
         return report
 
     records = []
@@ -595,7 +581,7 @@ def strichartz_ratio(data: CauchyData, q_t: float, s: float = 1.75) -> float:
     """
     maxima = np.array([slice_.max() for slice_ in _gradient_magnitudes(data)])
     num = _temporal_norm(maxima, q_t, data.grid.dt)
-    den = fl_norm(data.f, 2, s).value + fl_norm(data.g, 2, s - 1).value
+    den = fl_norm(data.f, 2, s) + fl_norm(data.g, 2, s - 1)
     return num / den
 
 
@@ -607,25 +593,18 @@ class StrichartzProbe:
 
 
 def strichartz_tasks(ensemble_size: int, q_t: float, resolution_ladder,
-                     seed: int, nt: int = 64, s: float = 1.75,
-                     band_policy: str = "fixed") -> list:
+                     seed: int, nt: int = 64, s: float = 1.75) -> list:
     """strichartz_member keyword arguments, one per (resolution, member).
 
-    With the default "fixed" band policy the random data band is pinned at
-    the coarsest grid's capacity and only the lattice refines, so a flat
-    trend certifies that the discrete dispersive-to-data quotient is stable
-    under resolution.  The "proportional" policy grows the band with the
-    grid instead; there the data norm itself still creeps upward along its
-    slowly convergent tail (the 0.01 decay margin), which shows up as a
-    small negative drift of the quotient.
+    The random data band is pinned at the coarsest grid's capacity and only
+    the lattice refines, so a flat trend certifies that the discrete
+    dispersive-to-data quotient is stable under resolution.
     """
     if q_t < 4 or math.isinf(q_t):
         raise ValueError("q_t must be finite and >= 4")
-    if band_policy not in ("fixed", "proportional"):
-        raise ValueError("band_policy must be 'fixed' or 'proportional'")
-    base_band = 0.4 * min(resolution_ladder)
+    band = 0.4 * min(resolution_ladder)
     return [dict(resolution=m, seed=seed + 7919 * m + j, q_t=q_t, nt=nt, s=s,
-                 band_modes=0.4 * m if band_policy == "proportional" else base_band)
+                 band_modes=band)
             for m in resolution_ladder for j in range(ensemble_size)]
 
 
@@ -657,10 +636,9 @@ def strichartz_summary(tasks, ratios) -> StrichartzProbe:
 
 
 def strichartz_probe(ensemble_size: int, q_t: float, resolution_ladder,
-                     seed: int, nt: int = 64, s: float = 1.75,
-                     band_policy: str = "fixed") -> StrichartzProbe:
+                     seed: int, nt: int = 64, s: float = 1.75) -> StrichartzProbe:
     """Ratio trend of free solutions with rough random data across
-    resolutions, run serially; see strichartz_tasks for the band policies."""
+    resolutions, run serially; see strichartz_tasks for the data band."""
     tasks = strichartz_tasks(ensemble_size, q_t, resolution_ladder, seed,
-                             nt=nt, s=s, band_policy=band_policy)
+                             nt=nt, s=s)
     return strichartz_summary(tasks, [strichartz_member(**task) for task in tasks])

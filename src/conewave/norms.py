@@ -1,4 +1,4 @@
-"""Discrete Fourier-Lebesgue, wave-Sobolev and mixed space-time norms.
+"""Discrete Fourier-Lebesgue and mixed space-time norms.
 
 All frequency-side norms are quadrature-weighted sums over the lattice, so
 they are Riemann approximations of their continuum counterparts; on nested
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,107 +47,37 @@ class LebesgueExponents:
         return self.r / (self.r - 1)
 
 
-@dataclass(frozen=True)
-class RegularityParams:
-    """The (s, sigma, b, epsilon) regularity tuple; sigma = s - 1 is derived."""
-
-    s: float
-    b: float
-    eps: float
-    n: int = 2
-
-    @property
-    def sigma(self) -> float:
-        return self.s - 1
-
-    def hypotheses_hold(self, r) -> bool:
-        """1/r < b < 1 and eps in (0, 1 - b)."""
-        r = float(r)
-        return (1.0 / r < self.b < 1.0) and (0.0 < self.eps < 1.0 - self.b)
-
-
-@dataclass(frozen=True)
-class NormValue:
-    """A nonnegative norm value tagged with its kind."""
-
-    value: float
-    kind: str
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("norms are nonnegative")
-
-    def __float__(self):
-        return self.value
-
-
-def japanese_bracket(xi) -> float:
-    """<xi> = sqrt(1 + |xi|^2) for a 2-vector xi."""
-    x = np.asarray(xi, dtype=float)
-    return float(math.sqrt(1.0 + x[0] ** 2 + x[1] ** 2))
-
-
-def fl_norm(f: SpatialField, r, s, homogeneous: bool = False) -> NormValue:
+def fl_norm(f: SpatialField, r, s, homogeneous: bool = False) -> float:
     """Fourier-Lebesgue data norm ( sum <xi>^{s p} |f-hat|^p dxi^2 )^{1/p}, p = r'.
 
-    The homogeneous variant weights by |xi|^s and excludes the xi = 0 mode;
-    a nonzero DC mode is reported in the result metadata, not an error.
+    The homogeneous variant weights by |xi|^s and excludes the xi = 0 mode.
     """
     p = float(LebesgueExponents(r).p)
     fhat = to_frequency(f)
     x1, x2 = f.grid.spatial_frequency_mesh()
     mag = np.abs(fhat.values)
-    meta = {}
     if homogeneous:
         r_xi = np.broadcast_to(np.sqrt(x1 ** 2 + x2 ** 2), mag.shape)
-        dc = float(mag[0, 0])
-        if dc > 0:
-            meta["excluded_dc_mode"] = dc
         w = np.zeros_like(r_xi)
         nz = r_xi > 0
         w[nz] = r_xi[nz] ** s
-        kind = "Homogeneous-FL"
     else:
         w = bracket_weight(np.sqrt(x1 ** 2 + x2 ** 2)) ** s
-        kind = "FL"
     total = float(np.sum((w * mag) ** p)) * f.grid.spatial_freq_cell
-    return NormValue(total ** (1.0 / p), kind, meta)
+    return total ** (1.0 / p)
 
 
-def xsb_norm(u: SpaceTimeField, r, s, b) -> NormValue:
-    """Wave-Sobolev norm with weights <xi>^s <|tau|-|xi|>^b in L^{r'}."""
-    p = float(LebesgueExponents(r).p)
-    uhat = to_frequency(u)
-    tau, x1, x2 = u.grid.frequency_mesh()
-    xi_mag = np.sqrt(x1 ** 2 + x2 ** 2)
-    w = bracket_weight(xi_mag) ** s * bracket_weight(np.abs(tau) - xi_mag) ** b
-    total = float(np.sum((w * np.abs(uhat.values)) ** p)) * u.grid.freq_cell
-    return NormValue(total ** (1.0 / p), "Xsb")
-
-
-def z_norm(u: SpaceTimeField, u_t: SpaceTimeField, r, s, b) -> NormValue:
-    """Solution-space norm: |u|_{X(s,b)} + |du/dt|_{X(s-1,b)}."""
-    if u.grid != u_t.grid:
-        raise ValueError("z_norm requires u and u_t on the same grid")
-    return NormValue(xsb_norm(u, r, s, b).value + xsb_norm(u_t, r, s - 1, b).value, "Z")
-
-
-def mixed_norm(u: SpaceTimeField, q_t, rho_x) -> NormValue:
+def mixed_norm(u: SpaceTimeField, q_t, rho_x) -> float:
     """L^q in time of L^rho in space, with rho or q = inf taken as lattice max."""
     if u.rep != PHYSICAL:
         raise ValueError("mixed_norm expects a physical-representation field")
     mag = np.abs(u.values)
-    meta = {}
     if math.isinf(rho_x):
         per_t = mag.max(axis=(1, 2))
-        meta["spatial_linf"] = "lattice max"
     else:
         cell = u.grid.spatial_phys_cell
         per_t = (np.sum(mag ** rho_x, axis=(1, 2)) * cell) ** (1.0 / rho_x)
-    if math.isinf(q_t):
-        meta["temporal_linf"] = "lattice max"
-    return NormValue(_temporal_norm(per_t, q_t, u.grid.dt), "Mixed", meta)
+    return _temporal_norm(per_t, q_t, u.grid.dt)
 
 
 def _temporal_norm(per_t, q_t, dt) -> float:
@@ -232,8 +162,8 @@ def scaling_law_check(f: SpatialField, s, r, lam) -> ScalingReport:
         return ScalingReport(lam=float(lam), ratio=float("nan"),
                              predicted=predicted, rel_error=float("nan"),
                              aliased=True)
-    base = fl_norm(f, r, s, homogeneous=True).value
-    scaled = fl_norm(rescale_spatial(f, lam), r, s, homogeneous=True).value
+    base = fl_norm(f, r, s, homogeneous=True)
+    scaled = fl_norm(rescale_spatial(f, lam), r, s, homogeneous=True)
     ratio = scaled / base
     return ScalingReport(lam=float(lam), ratio=ratio, predicted=predicted,
                          rel_error=abs(ratio - predicted) / predicted,

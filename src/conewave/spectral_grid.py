@@ -189,10 +189,6 @@ class SpatialField:
         return SpatialField(self.grid, values, self.rep if rep is None else rep)
 
 
-def zeros_like(fld):
-    return fld.with_values(np.zeros_like(fld.values))
-
-
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
@@ -239,24 +235,13 @@ def flip_wrap(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# frequency projections
+# frequency-region masks
 # ---------------------------------------------------------------------------
 
 def region_mask(grid: GridSpec, region) -> np.ndarray:
     """Boolean lattice mask of a frequency-space region descriptor."""
     tau, x1, x2 = grid.frequency_mesh()
     return np.broadcast_to(region.contains(tau, x1, x2), grid.shape)
-
-
-def project(fld: SpaceTimeField, region) -> SpaceTimeField:
-    """Multiply by the sharp characteristic function of `region`.
-
-    Idempotent by construction; an empty region yields the zero field.
-    """
-    if fld.rep != FREQUENCY:
-        raise ValueError("project expects a frequency-representation field")
-    mask = region_mask(fld.grid, region)
-    return fld.with_values(np.where(mask, fld.values, 0.0))
 
 
 # ---------------------------------------------------------------------------

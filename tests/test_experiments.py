@@ -488,6 +488,9 @@ def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw
     ("constants.ini", "grid", "d_xi", "1"),
     ("constants.ini", "ascent", "tol", "small"),
     ("scaling.ini", "params", "band_limit", "-inf"),
+    ("scaling.ini", "params", "band_limit", "100"),
+    ("ledger.ini", "params", "r_min", "2"),
+    ("solve.ini", "params", "direction", "t"),
     ("strichartz.ini", "params", "q_t", "yes"),
     ("volumes_hard.ini", "params", "samples", "0"),
     ("constants.ini", "ascent", "r", "3"),
@@ -513,6 +516,17 @@ def test_cli_rejects_bad_number_key(tmp_path, capsys, config, section,
     assert record["error"] == "config"
     assert (record["section"], record["key"]) == (section, key)
     assert raw in record["message"]
+
+
+def test_solve_rejects_deriv_of_square_without_direction(tmp_path, capsys):
+    # Nonlinearity's own rule, reported at the [params] header
+    text = (CONFIG_DIR / "solve.ini").read_text(encoding="utf-8")
+    text = text.replace("nonlinearity = full_grad_square",
+                        "nonlinearity = deriv_of_square")
+    record = _cli_config_error(tmp_path, capsys, "solve.ini", text)
+    assert (record["section"], record["key"], record["line"]) == (
+        "params", "direction", text.splitlines().index("[params]") + 1)
+    assert "deriv_of_square needs direction" in record["message"]
 
 
 def _insert_line(config, section, entry):

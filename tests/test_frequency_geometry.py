@@ -5,10 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from conewave import (AnnularCone, BallCone, Band, HalfSpace, Intersect,
-                      Reflect, SectorCone, Translate, angle, build_net,
-                      gamma0, load_config, region_volume_mc,
-                      volume_exponent_fit)
+from conewave import (AnnularCone, BallCone, Intersect, Reflect, SectorCone,
+                      Translate, angle, build_net, gamma0, load_config,
+                      region_volume_mc, volume_exponent_fit)
 from conewave.experiments import _VOLUME_AXIS_NAMES, _parse_sweeps
 from conewave.frequency_geometry import (_CHUNK, HLH_EASY, HLH_HARD,
                                          LHH_SECTOR_S1, LHH_SECTOR_S2,
@@ -137,8 +136,16 @@ def test_translate_reflect_predicates():
             (-tau, -a, -b))
 
 
+# An upper cone cut by a translated half band and a reflected half ball:
+# L = 64 makes the thickening vacuous on |tau| <= 20, so those two members
+# keep only their tau >= 0 half and their xi annulus or ball.
+_CONE_HALF_BAND = Intersect((
+    AnnularCone(+1, 8, 2), Translate(AnnularCone(+1, 8, 64), (0.0, 4.0, 0.0)),
+    Reflect(BallCone(-1, 16, 64))))
+
+
 def test_region_membership_deterministic():
-    reg = Intersect((AnnularCone(+1, 8, 2), HalfSpace(+1), Band(8)))
+    reg = _CONE_HALF_BAND
     pts = np.random.default_rng(3).uniform(-20, 20, size=(200, 3))
     m1 = reg.contains(pts[:, 0], pts[:, 1], pts[:, 2])
     m2 = reg.contains(pts[:, 0], pts[:, 1], pts[:, 2])
@@ -153,7 +160,7 @@ def _and_of_members(reg, tau, xi1, xi2):
 
 
 _INTERSECTIONS = [volume_case_config(case) for case in VOLUME_CASES] + [
-    {"region": Intersect((AnnularCone(+1, 8, 2), HalfSpace(+1), Band(8))),
+    {"region": _CONE_HALF_BAND,
      "box": ((-20.0, 20.0), (-20.0, 20.0), (-20.0, 20.0))}]
 
 
@@ -185,7 +192,7 @@ def test_intersect_contains_equals_and_of_members(cfg):
 def test_intersect_region_mask_equals_and_of_member_masks():
     grid = GridSpec(nx=32, nt=64, spatial_period=2 * math.pi,
                     time_period=2 * math.pi)
-    reg = Intersect((BallCone(+1, 8, 4), HalfSpace(+1), Band(4),
+    reg = Intersect((BallCone(+1, 8, 4), AnnularCone(+1, 4, 8),
                      Translate(Reflect(BallCone(+1, 16, 8)), (20.0, 12.0, 0.0))))
     mask = region_mask(grid, reg)
     want = np.logical_and.reduce([region_mask(grid, m) for m in reg.regions])
@@ -196,7 +203,8 @@ def test_intersect_region_mask_equals_and_of_member_masks():
 def test_intersect_contains_when_first_region_is_empty():
     # no point survives the first member: later members are never evaluated
     # and the mask is all false, with the input shape
-    reg = Intersect((HalfSpace(+1), BallCone(+1, 8, 2), Band(4)))
+    reg = Intersect((BallCone(+1, 16, 32), BallCone(+1, 8, 2),
+                     AnnularCone(+1, 4, 2)))
     rng = np.random.default_rng(5)
     tau = -rng.uniform(0.5, 10.0, 1_000)
     xi1, xi2 = rng.uniform(-8, 8, (2, 1_000))
@@ -308,7 +316,8 @@ def test_mc_error_halves_when_samples_quadruple():
 
 def test_mc_requires_finite_box():
     with pytest.raises(ValueError):
-        region_volume_mc(HalfSpace(+1), HalfSpace(+1).bounding_box(), 100, 0)
+        region_volume_mc(BallCone(+1, 8, 2),
+                         ((0.0, math.inf), (-8.0, 8.0), (-8.0, 8.0)), 100, 0)
 
 
 # ---------------------------------------------------------------------------

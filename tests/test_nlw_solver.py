@@ -6,9 +6,8 @@ import pytest
 
 from conewave import (FREQUENCY, PHYSICAL, CauchyData, GridSpec, Nonlinearity,
                       SolverConfig, SpatialField, duhamel_apply, energy,
-                      existence_probe, free_solution, halfwave_multipliers,
-                      nonlinearity_eval, picard_solve, random_data, rk4_solve,
-                      wave_admissible)
+                      existence_probe, free_solution, nonlinearity_eval,
+                      picard_solve, random_data, rk4_solve, wave_admissible)
 from conewave import nlw_solver, spectral_grid
 from conewave.nlw_solver import (_duhamel_data, _evolve, _halfwave,
                                   free_trajectory, gradient_magnitude_trajectory,
@@ -81,14 +80,14 @@ def rel_l2(a, b):
 
 def test_halfwave_multipliers_values():
     grid = make_grid()
-    cos0, sin0 = halfwave_multipliers(grid, 0.0)
+    cos0, sin0 = _halfwave(grid.xi_magnitude(), 0.0)[:2]
     assert np.all(cos0 == 1.0)
     assert np.all(sin0 == 0.0)
-    cos3, sin3 = halfwave_multipliers(grid, 3.0)
+    cos3, sin3 = _halfwave(grid.xi_magnitude(), 3.0)[:2]
     assert cos3[0, 0] == 1.0 and sin3[0, 0] == 3.0
     # |xi| = pi is not on this lattice; check |xi| = 4 at t = pi/4:
     # sin(pi)/4 = 0, cos(pi) = -1
-    c, s = halfwave_multipliers(grid, math.pi / 4)
+    c, s = _halfwave(grid.xi_magnitude(), math.pi / 4)[:2]
     assert c[4, 0] == pytest.approx(-1.0)
     assert s[4, 0] == pytest.approx(0.0, abs=1e-15)
 
@@ -102,7 +101,7 @@ def test_halfwave_multipliers_bit_identical_to_masked_formula(nx):
         want_sin = np.empty_like(k)
         want_sin[nz] = np.sin(t * k[nz]) / k[nz]
         want_sin[~nz] = t
-        cos_m, sin_over = halfwave_multipliers(grid, t)
+        cos_m, sin_over = _halfwave(grid.xi_magnitude(), t)[:2]
         assert np.array_equal(cos_m, np.cos(t * k))
         assert np.array_equal(sin_over, want_sin)
 
@@ -514,7 +513,8 @@ def test_random_data_reproducible_and_real():
     assert np.array_equal(a.g.values, b.g.values)
     c = random_data(grid, s=1.75, r=2, seed=12, band_limit=8.0)
     assert not np.array_equal(a.f.values, c.f.values)
-    assert a.max_imag_physical() < 1e-12
+    assert all(np.abs(to_physical(fld).values.imag).max() < 1e-12
+               for fld in (a.f, a.g))
 
 
 def full_draw_spectrum(grid, exponent, rng, band_limit):
@@ -554,7 +554,7 @@ def test_random_data_norm_stable_across_band_doubling():
     for nx, band in ((64, 8.0), (64, 16.0), (128, 32.0)):
         grid = make_grid(nx=nx)
         data = random_data(grid, s=1.75, r=2, seed=13, band_limit=band)
-        norms.append(fl_norm(data.f, 2, 1.75).value)
+        norms.append(fl_norm(data.f, 2, 1.75))
     for a, b in zip(norms, norms[1:]):
         assert abs(b / a - 1.0) <= 0.2
 
@@ -564,7 +564,7 @@ def test_random_data_higher_weight_diverges():
     for nx, band in ((64, 8.0), (64, 16.0), (128, 32.0)):
         grid = make_grid(nx=nx)
         data = random_data(grid, s=1.75, r=2, seed=13, band_limit=band)
-        norms.append(fl_norm(data.f, 2, 2.25).value)
+        norms.append(fl_norm(data.f, 2, 2.25))
     assert norms[1] / norms[0] > 1.2
     assert norms[2] / norms[1] > 1.2
 
@@ -676,7 +676,7 @@ def test_strichartz_ratio_matches_per_slice_reference(nx):
     q_t = 4.5
     maxima = np_gradient_magnitudes(data).max(axis=(1, 2))
     num = (np.sum(maxima ** q_t) * grid.dt) ** (1.0 / q_t)
-    want = num / (fl_norm(data.f, 2, 1.75).value + fl_norm(data.g, 2, 0.75).value)
+    want = num / (fl_norm(data.f, 2, 1.75) + fl_norm(data.g, 2, 0.75))
     assert strichartz_ratio(data, q_t) == pytest.approx(want, rel=1e-12, abs=0)
 
 

@@ -5,22 +5,20 @@ import mpmath
 import numpy as np
 import pytest
 
-from conewave import (FREQUENCY, PHYSICAL, SpaceTimeField,
-                      SpatialField, LebesgueExponents, RegularityParams,
-                      critical_exponent, fl_norm, japanese_bracket, mixed_norm,
-                      scaling_law_check, sobolev_correspondence, xsb_norm,
-                      z_norm)
+from conewave import (FREQUENCY, PHYSICAL, SpaceTimeField, SpatialField,
+                      LebesgueExponents, critical_exponent, fl_norm, mixed_norm,
+                      scaling_law_check, sobolev_correspondence)
 from conewave.norms import rescale_spatial, spatial_l2
-from conewave.spectral_grid import to_frequency, to_physical
+from conewave.spectral_grid import bracket_weight, to_physical
 
 from conftest import random_field
 
 
 def test_japanese_bracket_values():
-    assert japanese_bracket((0, 0)) == 1.0
-    assert abs(japanese_bracket((3, 4)) - math.sqrt(26)) < 1e-15
+    assert bracket_weight(0.0) == 1.0
+    assert abs(bracket_weight(5.0) - math.sqrt(26)) < 1e-15
     # monotone along a ray
-    vals = [japanese_bracket((t, 2 * t)) for t in np.linspace(0, 5, 40)]
+    vals = [bracket_weight(math.hypot(t, 2 * t)) for t in np.linspace(0, 5, 40)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -30,10 +28,6 @@ def test_exponent_types():
     assert 1 / ex.r + 1 / ex.p == 1
     with pytest.raises(ValueError):
         LebesgueExponents(Fraction(5, 2))
-    params = RegularityParams(s=1.76, b=0.51, eps=0.01)
-    assert params.sigma == pytest.approx(0.76)
-    assert params.hypotheses_hold(2)
-    assert not params.hypotheses_hold(1.2)
 
 
 def test_fl_norm_single_mode_closed_form(grid8):
@@ -42,20 +36,20 @@ def test_fl_norm_single_mode_closed_form(grid8):
     f = SpatialField(grid8, vals, FREQUENCY)
     r, s = 1.5, 0.75
     p = r / (r - 1)
-    expected = japanese_bracket((2, 1)) ** s * grid8.spatial_freq_cell ** (1 / p)
-    assert fl_norm(f, r, s).value == pytest.approx(expected, rel=1e-13)
+    expected = math.sqrt(1 + 2 ** 2 + 1 ** 2) ** s * grid8.spatial_freq_cell ** (1 / p)
+    assert fl_norm(f, r, s) == pytest.approx(expected, rel=1e-13)
 
 
 def test_conjugate_exponent_accepts_numpy_scalars(grid8):
     f = random_field(grid8, 3, spatial=True)
     for r in (np.int64(2), np.float32(1.5), np.float64(1.75)):
         assert LebesgueExponents(r).p == LebesgueExponents(float(r)).p
-        assert fl_norm(f, r, 1).value == fl_norm(f, float(r), 1).value
+        assert fl_norm(f, r, 1) == fl_norm(f, float(r), 1)
 
 
 def test_fl_norm_plancherel_case(grid8):
     f = random_field(grid8, 1, spatial=True)
-    assert fl_norm(f, 2, 0).value == pytest.approx(spatial_l2(f), rel=1e-12)
+    assert fl_norm(f, 2, 0) == pytest.approx(spatial_l2(f), rel=1e-12)
 
 
 def test_fl_norm_against_mpmath_oracle(grid8):
@@ -70,7 +64,7 @@ def test_fl_norm_against_mpmath_oracle(grid8):
             term = (mpmath.mpf(float(w[i, j])) ** s * abs(mpmath.mpc(v))) ** p
             total += term
         expected = float((total * mpmath.mpf(grid8.spatial_freq_cell)) ** (1 / mpmath.mpf(p)))
-    assert fl_norm(f, r, s).value == pytest.approx(expected, rel=1e-10)
+    assert fl_norm(f, r, s) == pytest.approx(expected, rel=1e-10)
 
 
 def test_fl_norm_homogeneous_excludes_dc(grid8):
@@ -78,80 +72,15 @@ def test_fl_norm_homogeneous_excludes_dc(grid8):
     vals[0, 0] = 3.0
     vals[1, 0] = 1.0
     f = SpatialField(grid8, vals, FREQUENCY)
-    out = fl_norm(f, 2, 1, homogeneous=True)
-    assert out.meta["excluded_dc_mode"] == pytest.approx(3.0)
     expected = 1.0 * grid8.spatial_freq_cell ** 0.5    # |xi| = 1 mode only
-    assert out.value == pytest.approx(expected, rel=1e-13)
+    assert fl_norm(f, 2, 1, homogeneous=True) == pytest.approx(expected, rel=1e-13)
 
 
 def test_fl_norm_monotone_in_s(grid8):
     f = random_field(grid8, 3, spatial=True)
-    v1 = fl_norm(f, 1.5, 0.5).value
-    v2 = fl_norm(f, 1.5, 1.5).value
+    v1 = fl_norm(f, 1.5, 0.5)
+    v2 = fl_norm(f, 1.5, 1.5)
     assert v1 <= v2
-
-
-def test_xsb_norm_time_independent_separable(grid8):
-    fvals = np.zeros(grid8.spatial_shape, dtype=complex)
-    fvals[1, 2] = 0.7
-    fvals[3, 0] = -0.2j
-    # u(t, x) = f(x): only the tau = 0 plane is populated, with value
-    # f-hat * (time transform of 1)
-    f_spatial = SpatialField(grid8, fvals, FREQUENCY)
-    ones_t = np.zeros(grid8.nt)
-    u_phys = np.broadcast_to(
-        to_physical(f_spatial).values[None, :, :], grid8.shape)
-    u = SpaceTimeField(grid8, u_phys, PHYSICAL)
-    r, s = 2, 1.25
-    got = xsb_norm(u, r, s, b=0).value
-    # with b = 0 the weight separates: spatial fl_norm times the time factor
-    # (DC tau mode carries time_period/sqrt(2 pi) per unit coefficient, with
-    # quadrature weight d_tau^{1/2})
-    expected = fl_norm(f_spatial, r, s).value * (
-        grid8.time_period / math.sqrt(2 * math.pi)) * grid8.d_tau ** 0.5
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_xsb_norm_on_cone_weight_is_one(grid8):
-    # mode exactly on the cone tau = |xi|: modulation weight <0>^b = 1
-    vals = np.zeros(grid8.shape, dtype=complex)
-    # xi = (3, 0) has |xi| = 3, tau lattice contains 3
-    it = list(np.rint(grid8.tau_axis).astype(int)).index(3)
-    vals[it, 3, 0] = 1.0
-    u = SpaceTimeField(grid8, vals, FREQUENCY)
-    for b in (0.0, 0.5, 3.0):
-        got = xsb_norm(u, 2, 0, b).value
-        assert got == pytest.approx(grid8.freq_cell ** 0.5, rel=1e-13)
-
-
-def test_xsb_norm_direct_sum_oracle(grid8):
-    u = random_field(grid8, 4)
-    s, b = 0.75, 0.4
-    tau, x1, x2 = grid8.frequency_mesh()
-    xi = np.sqrt(x1 ** 2 + x2 ** 2)
-    w = (1 + xi ** 2) ** (s / 2) * (1 + (np.abs(tau) - xi) ** 2) ** (b / 2)
-    direct = (np.sum((w * np.abs(u.values)) ** 2) * grid8.freq_cell) ** 0.5
-    assert xsb_norm(u, 2, s, b).value == pytest.approx(direct, rel=1e-12)
-
-
-def test_z_norm_additivity(grid8):
-    u = random_field(grid8, 5)
-    ut = random_field(grid8, 6)
-    r, s, b = 1.8, 1.1, 0.6
-    total = z_norm(u, ut, r, s, b).value
-    assert total == pytest.approx(
-        xsb_norm(u, r, s, b).value + xsb_norm(ut, r, s - 1, b).value, rel=1e-13)
-    zero = u.with_values(np.zeros(grid8.shape))
-    assert z_norm(zero, zero, r, s, b).value == 0.0
-    assert z_norm(u, zero, r, s, b).value == pytest.approx(
-        xsb_norm(u, r, s, b).value, rel=1e-13)
-
-
-def test_z_norm_grid_mismatch(grid8, grid16):
-    u = random_field(grid8, 7)
-    v = random_field(grid16, 8)
-    with pytest.raises(ValueError):
-        z_norm(u, v, 2, 1, 0.5)
 
 
 def test_mixed_norm_constant_closed_form(grid8):
@@ -159,15 +88,15 @@ def test_mixed_norm_constant_closed_form(grid8):
     u = SpaceTimeField(grid8, np.full(grid8.shape, c), PHYSICAL)
     q, rho = 4.0, 6.0
     expected = c * grid8.time_period ** (1 / q) * grid8.spatial_period ** (2 / rho)
-    assert mixed_norm(u, q, rho).value == pytest.approx(expected, rel=1e-13)
+    assert mixed_norm(u, q, rho) == pytest.approx(expected, rel=1e-13)
     # L-infinity realized as lattice max
-    assert mixed_norm(u, math.inf, math.inf).value == pytest.approx(c)
+    assert mixed_norm(u, math.inf, math.inf) == pytest.approx(c)
 
 
 def test_mixed_norm_l2_case(grid8):
     u = random_field(grid8, 9, rep=PHYSICAL)
     direct = math.sqrt(float(np.sum(np.abs(u.values) ** 2)) * grid8.phys_cell)
-    assert mixed_norm(u, 2, 2).value == pytest.approx(direct, rel=1e-12)
+    assert mixed_norm(u, 2, 2) == pytest.approx(direct, rel=1e-12)
 
 
 def test_mixed_norm_against_mpmath_oracle(grid8):
@@ -182,27 +111,18 @@ def test_mixed_norm_against_mpmath_oracle(grid8):
             inner = (inner * mpmath.mpf(grid8.spatial_phys_cell)) ** (1 / mpmath.mpf(rho))
             acc += inner ** q
         expected = float((acc * mpmath.mpf(grid8.dt)) ** (1 / mpmath.mpf(q)))
-    assert mixed_norm(u, q, rho).value == pytest.approx(expected, rel=1e-10)
-
-
-def test_xsb_norm_collapses_to_weighted_l2(grid8):
-    # b = 0, s = 0, r = 2: the quadrature-weighted space-time l2 norm
-    u = random_field(grid8, 21, rep=PHYSICAL)
-    weighted = math.sqrt(float(np.sum(np.abs(u.values) ** 2)) * grid8.phys_cell)
-    got = xsb_norm(to_frequency(u), 2, 0, 0).value
-    assert got == pytest.approx(weighted, rel=1e-12)
+    assert mixed_norm(u, q, rho) == pytest.approx(expected, rel=1e-10)
 
 
 def test_norm_homogeneity_and_triangle(grid8):
-    u = random_field(grid8, 11)
-    v = random_field(grid8, 12)
-    r, s, b = 1.6, 0.8, 0.45
+    f = random_field(grid8, 11, spatial=True)
+    g = random_field(grid8, 12, spatial=True)
+    r, s = 1.6, 0.8
     c = -2.5 + 1.25j
-    scaled = u.with_values(c * u.values)
-    assert xsb_norm(scaled, r, s, b).value == pytest.approx(
-        abs(c) * xsb_norm(u, r, s, b).value, rel=1e-12)
-    lhs = xsb_norm(u.with_values(u.values + v.values), r, s, b).value
-    assert lhs <= xsb_norm(u, r, s, b).value + xsb_norm(v, r, s, b).value + 1e-12
+    assert fl_norm(f.with_values(c * f.values), r, s) == pytest.approx(
+        abs(c) * fl_norm(f, r, s), rel=1e-12)
+    lhs = fl_norm(f.with_values(f.values + g.values), r, s)
+    assert lhs <= fl_norm(f, r, s) + fl_norm(g, r, s) + 1e-12
 
 
 def test_sobolev_correspondence_exact():

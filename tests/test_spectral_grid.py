@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from conewave import (FREQUENCY, PHYSICAL, GridSpec, SpaceTimeField,
-                      dyadic_restrict, project, transform)
-from conewave.frequency_geometry import (BallCone, Band, FullSpace, HalfSpace,
-                                         Intersect)
-from conewave.spectral_grid import (dyadic_band_values, to_frequency,
-                                    to_physical)
+                      dyadic_restrict, transform)
+from conewave.frequency_geometry import BallCone
+from conewave.spectral_grid import (dyadic_band_values, region_mask,
+                                    to_frequency, to_physical)
 
 from conftest import random_field
 
@@ -76,53 +75,18 @@ def test_transform_preserves_weighted_l2(grid8):
     assert abs(phys - freq) <= 1e-12 * phys
 
 
-def test_project_idempotent_and_full_space(grid8):
-    fld = random_field(grid8, 3)
-    cone = BallCone(+1, 4, 2)
-    once = project(fld, cone)
-    twice = project(once, cone)
-    assert np.array_equal(once.values, twice.values)
-
-    # projecting onto all of frequency space is the identity, bit-exact
-    assert np.array_equal(project(fld, FullSpace()).values, fld.values)
-
-    # the two closed half spaces cover everything, overlapping on tau = 0
-    up = project(fld, HalfSpace(+1)).values
-    down = project(fld, HalfSpace(-1)).values
-    tau = grid8.frequency_mesh()[0]
-    overlap = np.where(np.broadcast_to(tau == 0, grid8.shape), fld.values, 0.0)
-    assert np.array_equal(up + down - overlap, fld.values)
-
-
-def test_project_requires_frequency_rep(grid8):
-    fld = random_field(grid8, 4, rep=PHYSICAL)
-    with pytest.raises(ValueError):
-        project(fld, HalfSpace(+1))
-
-
 def test_big_L_cone_equals_halfspace_ball(grid8):
     # pointwise predicate enumeration: when L covers twice the tau range the
     # cone constraint is vacuous and only the half space and ball survive
-    fld = random_field(grid8, 5)
     tau_range = float(np.abs(grid8.tau_axis).max())
     L = 1
     while L < 2 * 2 * tau_range:
         L *= 2
     N = 4
-    coneside = project(fld, BallCone(+1, N, L))
     tau, x1, x2 = grid8.frequency_mesh()
     expect_mask = (tau >= 0) & (np.sqrt(x1 ** 2 + x2 ** 2) <= N)
-    expected = np.where(np.broadcast_to(expect_mask, grid8.shape), fld.values, 0.0)
-    assert np.array_equal(coneside.values, expected)
-
-
-def test_projection_algebra_intersection(grid8):
-    fld = random_field(grid8, 6)
-    a = BallCone(+1, 4, 4)
-    b = Band(2)
-    lhs = project(project(fld, a), b)
-    rhs = project(fld, Intersect((a, b)))
-    assert np.array_equal(lhs.values, rhs.values)
+    assert np.array_equal(region_mask(grid8, BallCone(+1, N, L)),
+                          np.broadcast_to(expect_mask, grid8.shape))
 
 
 def test_dyadic_restrict_rejects_non_dyadic(grid8):
