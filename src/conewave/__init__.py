@@ -6,9 +6,8 @@ __version__ = "0.1.0"
 
 from .spectral_grid import (FREQUENCY, PHYSICAL, GridSpec, SpaceTimeField,
                             SpatialField, dyadic_restrict, is_dyadic, transform)
-from .frequency_geometry import (AngularNet, AnnularCone, BallCone, Intersect,
-                                 Reflect, SectorCone, Translate, VolumeEstimate,
-                                 angle, build_net, gamma0, region_volume_mc,
+from .frequency_geometry import (AnnularCone, BallCone, Intersect, Reflect,
+                                 Translate, VolumeEstimate, region_volume_mc,
                                  volume_exponent_fit)
 from .norms import (LebesgueExponents, critical_exponent, fl_norm, mixed_norm,
                     scaling_law_check, sobolev_correspondence)

@@ -119,8 +119,7 @@ _EXPERIMENT = {"kind": (_word(*EXPERIMENT_KINDS), REQUIRED, None),
 # [sweep.<name>] keys per kind: axis name -> key; the config key is the axis
 # name in lower case.  An absent volumes axis keeps the case's default.
 _VOLUME_AXIS_NAMES = dict.fromkeys(
-    ("N0", "N1", "L1", "L2"), (_list_of(INT, distinct=True), None, DYADIC))
-_VOLUME_AXIS_NAMES["gamma"] = (_list_of(FLOAT, distinct=True), None, POSITIVE)
+    ("N1", "L1", "L2"), (_list_of(INT, distinct=True), None, DYADIC))
 _CONSTANT_AXIS_NAMES = dict.fromkeys(
     ("N0", "N1", "N2", "L1", "L2"),
     (_list_of(INT, distinct=True), REQUIRED, DYADIC))

@@ -1,4 +1,4 @@
-"""Thickened null-cone regions, angular nets, and Monte Carlo volume measurement.
+"""Thickened null-cone regions and Monte Carlo volume measurement.
 
 Regions are pure membership predicates on R^{1+2} points X = (tau, xi1, xi2),
 built from a small tagged union of primitives.  The thickening convention is
@@ -30,14 +30,6 @@ def _check_sign(sign):
     if sign not in (+1, -1):
         raise ValueError(f"cone sign must be +1 or -1, got {sign!r}")
     return sign
-
-
-def _unit(omega):
-    w = np.asarray(omega, dtype=float)
-    nrm = float(np.hypot(w[0], w[1]))
-    if not math.isclose(nrm, 1.0, rel_tol=0, abs_tol=1e-9):
-        raise ValueError(f"omega must be a unit vector, got |omega| = {nrm}")
-    return (float(w[0]), float(w[1]))
 
 
 class Region:
@@ -94,9 +86,7 @@ class AnnularCone(_Cone):
     """K-annular: |xi| in [N, 2N), sign*tau >= 0, |tau - sign*|xi|| <= L."""
 
     def contains(self, tau, xi1, xi2):
-        return self._annulus(tau, np.sqrt(xi1 ** 2 + xi2 ** 2))
-
-    def _annulus(self, tau, r):
+        r = np.sqrt(xi1 ** 2 + xi2 ** 2)
         return (r >= self.N) & (r < 2 * self.N) & self._sheet(tau, r)
 
     def bounding_box(self):
@@ -105,51 +95,6 @@ class AnnularCone(_Cone):
         t = (lo, hi) if self.sign > 0 else (-hi, -lo)
         b = 2 * self.N
         return (t, (-b, b), (-b, b))
-
-
-@dataclass(frozen=True)
-class SectorCone(AnnularCone):
-    """Annular cone intersected with the sector theta(sign*xi, omega) <= gamma.
-
-    The sign is applied to xi, matching the sector convention used for the
-    lower cone sheet.
-    """
-
-    gamma: float
-    omega: Tuple[float, float]
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (0.0 < self.gamma <= math.pi):
-            raise ValueError(f"gamma must lie in (0, pi], got {self.gamma}")
-        object.__setattr__(self, "omega", _unit(self.omega))
-
-    def contains(self, tau, xi1, xi2):
-        r = np.sqrt(xi1 ** 2 + xi2 ** 2)
-        wx, wy = self.omega
-        dot = (self.sign * (xi1 * wx + xi2 * wy))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cosang = np.where(r > 0, dot / np.where(r > 0, r, 1.0), 1.0)
-        return self._annulus(tau, r) & (cosang >= math.cos(self.gamma))
-
-    def bounding_box(self):
-        x_box, y_box = _sector_xy_box(self.sign, self.N, self.gamma, self.omega)
-        return (super().bounding_box()[0], x_box, y_box)
-
-
-def _sector_xy_box(sign, N, gamma, omega):
-    # Bounding box of {r*u : r in [0, 2N], theta(sign*u, omega) <= gamma}.
-    phi0 = math.atan2(sign * omega[1], sign * omega[0])
-    angles = [phi0 - gamma, phi0 + gamma]
-    # axis extrema inside the angular interval; phi0 +- gamma can reach out
-    # to +-2*pi, so scan axis angles over that whole range
-    for k in range(-4, 5):
-        cand = k * math.pi / 2
-        if phi0 - gamma <= cand <= phi0 + gamma:
-            angles.append(cand)
-    xs = [2 * N * math.cos(a) for a in angles] + [0.0]
-    ys = [2 * N * math.sin(a) for a in angles] + [0.0]
-    return (min(xs), max(xs)), (min(ys), max(ys))
 
 
 @dataclass(frozen=True)
@@ -218,61 +163,6 @@ class Intersect(Region):
             # an empty intersection may leave lo > hi; box_volume clamps it
             out.append((lo, hi))
         return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# angles and angular nets
-# ---------------------------------------------------------------------------
-
-def angle(a, b) -> float:
-    """Angle in [0, pi] between nonzero 2-vectors a and b."""
-    ax, ay = float(a[0]), float(a[1])
-    bx, by = float(b[0]), float(b[1])
-    na = math.hypot(ax, ay)
-    nb = math.hypot(bx, by)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("angle is undefined for the zero vector")
-    # atan2 of the wedge/dot pair is far more accurate near 0 and pi than acos
-    return math.atan2(abs(ax * by - ay * bx), ax * bx + ay * by)
-
-
-@dataclass(frozen=True)
-class AngularNet:
-    """Maximal gamma-separated set of unit directions on the circle."""
-
-    gamma: float
-    points: Tuple[Tuple[float, float], ...]
-
-    def __len__(self):
-        return len(self.points)
-
-    def neighbors_within(self, omega, k: int):
-        """Net points omega' with theta(omega', omega) <= k*gamma."""
-        return [w for w in self.points if angle(w, omega) <= k * self.gamma + 1e-12]
-
-
-def build_net(gamma: float) -> AngularNet:
-    """Equally spaced maximal gamma-separated subset of the unit circle.
-
-    Uses M = floor(2*pi/gamma) points at spacing 2*pi/M >= gamma, which is
-    both gamma-separated and maximal (any extra direction would sit within
-    gamma of an existing one), and satisfies the almost-orthogonality count
-    #{omega' : theta(omega', omega) <= k*gamma} <= 2k + 1.
-    """
-    if not (0.0 < gamma <= math.pi):
-        raise ValueError(f"gamma must lie in (0, pi], got {gamma!r}")
-    # tolerate float roundoff when gamma divides 2*pi
-    M = int(math.floor(TWO_PI / gamma + 1e-9))
-    spacing = TWO_PI / M
-    points = tuple((math.cos(k * spacing), math.sin(k * spacing)) for k in range(M))
-    return AngularNet(gamma=gamma, points=points)
-
-
-def gamma0(N1, L2) -> float:
-    """Angular threshold sqrt(L2/N1) separating the sector decomposition regimes."""
-    if N1 <= 0 or L2 <= 0:
-        raise ValueError("gamma0 requires positive N1 and L2")
-    return math.sqrt(L2 / N1)
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +264,13 @@ def ball_cone_volume_exact(N, L) -> float:
 # interaction-volume measurement cases
 # ---------------------------------------------------------------------------
 #
-# Each case builds the intersection E = A1 cap (X0 - A2) (or the sector
-# variants E = A0 cap (X2 + A1)) at a dyadic parameter point, together with
-# an analytic sampling box and the dyadic bound shape the measured volume is
-# compared against.  Witness points sit on the cone axis, placed mid-annulus
-# so the translated region is nonempty.
+# Each case builds the intersection E = A1 cap (X0 - A2) at a dyadic
+# parameter point, together with an analytic sampling box and the dyadic
+# bound shape the measured volume is compared against.  Witness points sit on
+# the cone axis, placed mid-annulus so the translated region is nonempty.
 
 HLH_HARD = "HLH_hard"
 HLH_EASY = "HLH_easy"
-LHH_SECTOR_S1 = "LHH_sector_S1"
-LHH_SECTOR_S2 = "LHH_sector_S2"
-
-VOLUME_CASES = (HLH_HARD, HLH_EASY, LHH_SECTOR_S1, LHH_SECTOR_S2)
 
 # Exact exponents of the HLH bound shapes N1^N1 * min(L)^L1 * max(L)^L2
 # (hard: L2 <= N1; easy: large L2).  low is the low-frequency dimension, which
@@ -394,20 +279,14 @@ VOLUME_EXPONENTS = {
     HLH_HARD: {"N1": Fraction(3, 2), "L1": 1, "L2": Fraction(1, 2), "low": 1},
     HLH_EASY: {"N1": 2, "L1": 1, "L2": 0, "low": 2},
 }
+VOLUME_CASES = tuple(VOLUME_EXPONENTS)
 
 _BASE_PARAMS = {
     HLH_HARD: {"N1": 16, "L1": 2, "L2": 2},
     HLH_EASY: {"N1": 16, "L1": 2, "L2": None},   # L2 defaults to 4*N1
-    LHH_SECTOR_S1: {"N0": 16, "N1": 512, "L1": 2, "gamma": 0.25},
-    LHH_SECTOR_S2: {"N0": 16, "N1": 512, "L1": 2, "L2": 4},
 }
 
 _VACUOUS_L = 1 << 40    # dyadic; modulation constraint vacuous on any lattice
-
-
-def _rotate(omega, theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return (c * omega[0] - s * omega[1], s * omega[0] + c * omega[1])
 
 
 def volume_case_config(case: str, **params):
@@ -424,73 +303,32 @@ def volume_case_config(case: str, **params):
             raise ValueError(f"case {case} does not take parameter {k!r}")
         p[k] = v
 
-    if case in (HLH_HARD, HLH_EASY):
-        N1, L1 = p["N1"], p["L1"]
-        L2 = p["L2"] if p["L2"] is not None else 4 * N1
-        N2 = 8 * N1
-        if case == HLH_HARD:
-            R = N2 + 2 * N1
-            X0 = (float(R), float(R), 0.0)
-            region = Intersect((
-                AnnularCone(+1, N1, L1),
-                Translate(Reflect(AnnularCone(+1, N2, L2)), X0),
-            ))
-            # The intersection forces xi1 nearly parallel to the axis with
-            # transverse defect y^2/(2 x) <= L1 + L2; the box below encloses it.
-            y_half = min(2.0 * N1, math.sqrt(8.0 * N1 * (L1 + L2)))
-            box = ((N1 - L1, 2 * N1 + L1), (N1 / 4.0, 2.0 * N1), (-y_half, y_half))
-        else:
-            p["N0"] = N0 = 4 * N1
-            X0 = (float(N0), float(N0), 0.0)
-            region = Intersect((
-                BallCone(+1, N1, L1),
-                Translate(Reflect(BallCone(+1, N2, L2)), X0),
-            ))
-            box = ((0.0, N1 + L1), (-N1, N1), (-N1, N1))
-        e = VOLUME_EXPONENTS[case]
-        bound = (N1 ** float(e["N1"]) * min(L1, L2) ** float(e["L1"])
-                 * max(L1, L2) ** float(e["L2"]))
-        p.update(L2=L2, N2=N2)
-        return {"region": region, "box": box, "bound": bound, "params": p}
-
-    if case == LHH_SECTOR_S1:
-        N0, N1, L1, gamma = p["N0"], p["N1"], p["L1"], p["gamma"]
-        omega0 = (1.0, 0.0)
-        omega1 = omega0                       # theta(omega0, omega1) = 0 <= gamma
-        tau2 = float(N1)
-        xi2 = (-1.5 * N1, 0.0)
-        X2 = (tau2, xi2[0], xi2[1])
-        slot0 = SectorCone(+1, N0, _VACUOUS_L, gamma, omega0)
-        slot1 = SectorCone(+1, N1, L1, gamma, omega1)
-        region = Intersect((slot0, Translate(slot1, X2)))
-        # tau window: tau = tau2 + |xi0 - xi2| + O(L1) with |xi0| <= 2 N0
-        t_lo = tau2 + 1.5 * N1 - 2 * N0 - L1
-        t_hi = tau2 + 1.5 * N1 + 2 * N0 + L1
-        (x_lo, x_hi), (y_lo, y_hi) = _sector_xy_box(+1, N0, gamma, omega0)
-        box = ((max(t_lo, 0.0), t_hi), (x_lo, x_hi), (y_lo, y_hi))
-        bound = N0 * N0 * gamma * L1
-        return {"region": region, "box": box, "bound": bound, "params": p}
-
-    # LHH_SECTOR_S2: transversal sector interaction at gamma = 2*gamma0,
-    # separation theta(omega0, omega1) = 4*gamma in [3*gamma, 12*gamma].
-    N0, N1, L1, L2 = p["N0"], p["N1"], p["L1"], p["L2"]
-    gam = 2.0 * gamma0(N1, L2)
-    omega0 = (1.0, 0.0)
-    omega1 = _rotate(omega0, 4.0 * gam)
-    center0 = (1.5 * N0 * omega0[0], 1.5 * N0 * omega0[1])
-    xi2 = (center0[0] - 1.5 * N1 * omega1[0], center0[1] - 1.5 * N1 * omega1[1])
-    tau2 = float(np.hypot(*xi2))
-    X2 = (tau2, xi2[0], xi2[1])
-    slot0 = SectorCone(+1, N0, _VACUOUS_L, gam, omega0)
-    slot1 = SectorCone(+1, N1, L1, gam, omega1)
-    region = Intersect((slot0, Translate(slot1, X2)))
-    dist_lo = 1.5 * N1 - 2 * N0
-    dist_hi = 1.5 * N1 + 2 * N0
-    box_t = (max(tau2 + dist_lo - L1, 0.0), tau2 + dist_hi + L1)
-    (x_lo, x_hi), (y_lo, y_hi) = _sector_xy_box(+1, N0, gam, omega0)
-    box = (box_t, (x_lo, x_hi), (y_lo, y_hi))
-    bound = (L2 / gam) * L1 * N0
-    p["gamma"] = gam
+    N1, L1 = p["N1"], p["L1"]
+    L2 = p["L2"] if p["L2"] is not None else 4 * N1
+    N2 = 8 * N1
+    if case == HLH_HARD:
+        R = N2 + 2 * N1
+        X0 = (float(R), float(R), 0.0)
+        region = Intersect((
+            AnnularCone(+1, N1, L1),
+            Translate(Reflect(AnnularCone(+1, N2, L2)), X0),
+        ))
+        # The intersection forces xi1 nearly parallel to the axis with
+        # transverse defect y^2/(2 x) <= L1 + L2; the box below encloses it.
+        y_half = min(2.0 * N1, math.sqrt(8.0 * N1 * (L1 + L2)))
+        box = ((N1 - L1, 2 * N1 + L1), (N1 / 4.0, 2.0 * N1), (-y_half, y_half))
+    else:
+        p["N0"] = N0 = 4 * N1
+        X0 = (float(N0), float(N0), 0.0)
+        region = Intersect((
+            BallCone(+1, N1, L1),
+            Translate(Reflect(BallCone(+1, N2, L2)), X0),
+        ))
+        box = ((0.0, N1 + L1), (-N1, N1), (-N1, N1))
+    e = VOLUME_EXPONENTS[case]
+    bound = (N1 ** float(e["N1"]) * min(L1, L2) ** float(e["L1"])
+             * max(L1, L2) ** float(e["L2"]))
+    p.update(L2=L2, N2=N2)
     return {"region": region, "box": box, "bound": bound, "params": p}
 
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .norms import LebesgueExponents, _as_fraction, _temporal_norm, fl_norm
+from ._regression import fit_power_law
 from .spectral_grid import (FREQUENCY, PHYSICAL, TWO_PI, GridSpec,
                             SpaceTimeField, SpatialField, flip_wrap,
                             to_frequency, to_physical)
@@ -629,9 +630,8 @@ def strichartz_summary(tasks, ratios) -> StrichartzProbe:
         groups.setdefault(rec["resolution"], []).append(rec["ratio"])
     medians = {m: float(np.median(group)) for m, group in groups.items()}
     ms = sorted(medians)
-    xs = np.log2(np.array(ms, float))
-    ys = np.log2(np.array([medians[m] for m in ms]))
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(ms) >= 2 else 0.0
+    slope = (fit_power_law(ms, [medians[m] for m in ms]).exponent
+             if len(ms) >= 2 else 0.0)
     return StrichartzProbe(records=records, medians=medians, slope=slope)
 
 

@@ -125,10 +125,6 @@ class ScalingReport:
     rel_error: float
     aliased: bool
 
-    @property
-    def skipped(self) -> bool:
-        return self.aliased
-
 
 def rescale_spatial(f: SpatialField, lam: int) -> SpatialField:
     """Realize f(lam * x) on the lam-times-finer nested torus.

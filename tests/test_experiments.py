@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conewave import (emit_results, load_config, run_experiment,
+from conewave import (emit_results, experiments, load_config, run_experiment,
                       volume_exponent_fit)
 from conewave.cli import main as cli_main
 from conewave.experiments import (ConfigError, ExperimentConfig, format_cell,
@@ -493,6 +493,7 @@ def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw
     ("solve.ini", "params", "direction", "t"),
     ("strichartz.ini", "params", "q_t", "yes"),
     ("volumes_hard.ini", "params", "samples", "0"),
+    ("volumes_hard.ini", "params", "case", "LHH_sector_S1"),
     ("constants.ini", "ascent", "r", "3"),
     ("solve.ini", "params", "n_steps", "0"),
     ("solve.ini", "params", "t_final", "-1"),
@@ -560,6 +561,8 @@ def _cli_config_error(tmp_path, capsys, config, text, extra=()):
     ("solve.ini", "solver", "amplitud = 5", None),
     ("solve.ini", "params", "n_step = 4", "n_step"),
     ("volumes_hard.ini", "params", "sampels = 1000", "sampels"),
+    ("volumes_hard.ini", "sweep.n0", "n0 = 8 16", "n0"),    # no case takes
+    ("volumes_easy.ini", "sweep.gamma", "gamma = 1 2", "gamma"),  # these two
     ("volumes_easy.ini", "grid", "nx = 16", None),
     ("constants.ini", "ascent", "rr = 8/5", "rr"),
     ("constants.ini", "grid", "n = 16", "n"),
@@ -730,9 +733,13 @@ def test_workers_default_without_affinity_uses_cpu_count(monkeypatch):
     assert resolve_workers(None) == 7
 
 
-def test_worker_failure_marks_incomplete(tmp_path, capsys):
-    # an unknown volume axis inside a task would be caught at validation;
-    # force a task-level failure through an impossible case parameter
+def test_worker_failure_marks_incomplete(tmp_path, capsys, monkeypatch):
+    # every bad key exits 2 before any work; force a task-level failure by
+    # making the task itself raise (one worker runs it in this process)
+    def fail(**kwargs):
+        raise RuntimeError("task failed")
+
+    monkeypatch.setitem(experiments._TASK_REGISTRY, "volume_point", fail)
     path = write_config(tmp_path, """
 [experiment]
 kind = volumes
@@ -742,8 +749,8 @@ seed = 1
 case = HLH_hard
 samples = 10
 
-[sweep.bad]
-gamma = 1 2
+[sweep.n1]
+n1 = 8 16
 """)
     rc = cli_main(["volumes", "--config", str(path),
                    "--out", str(tmp_path / "out"), "--workers", "1"])

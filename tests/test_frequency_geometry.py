@@ -1,16 +1,13 @@
 import math
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
-from conewave import (AnnularCone, BallCone, Intersect, Reflect, SectorCone,
-                      Translate, angle, build_net, gamma0, load_config,
-                      region_volume_mc, volume_exponent_fit)
+from conewave import (AnnularCone, BallCone, Intersect, Reflect, Translate,
+                      load_config, region_volume_mc, volume_exponent_fit)
 from conewave.experiments import _VOLUME_AXIS_NAMES, _parse_sweeps
 from conewave.frequency_geometry import (_CHUNK, HLH_EASY, HLH_HARD,
-                                         LHH_SECTOR_S1, LHH_SECTOR_S2,
                                          VOLUME_CASES, VOLUME_EXPONENTS,
                                          _chunk_rng, ball_cone_volume_exact,
                                          region_volume_quadrature,
@@ -19,103 +16,6 @@ from conewave._regression import fit_power_law
 from conewave.spectral_grid import GridSpec, region_mask
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-
-
-# ---------------------------------------------------------------------------
-# angles
-# ---------------------------------------------------------------------------
-
-def test_angle_trivial_cases():
-    assert angle((1, 0), (1, 0)) == 0.0
-    assert abs(angle((1, 0), (0, 1)) - math.pi / 2) < 1e-15
-    assert abs(angle((1, 0), (-1, 0)) - math.pi) < 1e-15
-
-
-def test_angle_symmetry_and_range():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        a = rng.standard_normal(2)
-        b = rng.standard_normal(2)
-        th = angle(a, b)
-        assert 0.0 <= th <= math.pi
-        assert th == angle(b, a)
-
-
-def test_angle_near_pi_high_precision():
-    # arccos of the normalized dot product computed with mpmath at 50 digits
-    a = (1.0, 0.0)
-    b = (-1.0, 1e-3)
-    with mpmath.workdps(50):
-        av = mpmath.matrix(a)
-        bv = mpmath.matrix(b)
-        dot = av[0] * bv[0] + av[1] * bv[1]
-        na = mpmath.sqrt(av[0] ** 2 + av[1] ** 2)
-        nb = mpmath.sqrt(bv[0] ** 2 + bv[1] ** 2)
-        expected = float(mpmath.acos(dot / (na * nb)))
-    assert abs(angle(a, b) - expected) < 1e-9
-    assert abs(angle(a, b) - (math.pi - 1e-3)) < 1e-6
-
-
-def test_angle_rejects_zero_vector():
-    with pytest.raises(ValueError):
-        angle((0, 0), (1, 0))
-
-
-# ---------------------------------------------------------------------------
-# angular nets
-# ---------------------------------------------------------------------------
-
-def test_net_quarter_circle():
-    net = build_net(math.pi / 2)
-    assert len(net) == 4
-
-
-def test_net_seven_points_pairwise_separated():
-    gamma = 2 * math.pi / 7
-    net = build_net(gamma)
-    assert len(net) == 7
-    pts = net.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            assert angle(pts[i], pts[j]) >= gamma * (1 - 1e-9) - 1e-12
-
-
-def test_net_invariants_generic_gamma():
-    rng = np.random.default_rng(1)
-    for gamma in (0.13, 0.3, 0.77, 1.9, 2.7, math.pi):
-        net = build_net(gamma)
-        pts = net.points
-        # gamma-separated
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                assert angle(pts[i], pts[j]) >= gamma * (1 - 1e-9)
-        # maximal: every direction is within gamma of some net point
-        for _ in range(100):
-            phi = rng.uniform(0, 2 * math.pi)
-            w = (math.cos(phi), math.sin(phi))
-            assert min(angle(w, p) for p in pts) <= gamma + 1e-12
-
-
-def test_net_almost_orthogonality_count():
-    # at most 2k + 1 net points within k*gamma of any fixed direction
-    for gamma in (0.2, 0.5, 2 * math.pi / 7):
-        net = build_net(gamma)
-        for omega in net.points[:3]:
-            for k in (1, 2, 3):
-                assert len(net.neighbors_within(omega, k)) <= 2 * k + 1
-            assert len(net.neighbors_within(omega, 1)) <= 3
-
-
-def test_net_rejects_bad_gamma():
-    for bad in (0.0, -1.0, 4.0):
-        with pytest.raises(ValueError):
-            build_net(bad)
-
-
-def test_gamma0_values():
-    assert gamma0(4, 4) == 1.0
-    assert gamma0(16, 4) == 0.5
-    assert gamma0(64, 1) == 0.125
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +130,11 @@ def test_mc_hits_equal_plain_and_count():
     assert est.hits == hits > 0
 
 
-def test_sector_sign_applies_to_xi():
-    # theta(-xi, omega) <= gamma for the lower cone: membership sits on the
-    # -omega side of the xi plane
-    sec = SectorCone(-1, 4, 2, 0.3, (1.0, 0.0))
-    assert sec.contains_point((-6.0, -6.0, 0.0))
-    assert not sec.contains_point((-6.0, 6.0, 0.0))
-
-
 def test_region_validation():
     with pytest.raises(ValueError):
         BallCone(0, 4, 2)
     with pytest.raises(ValueError):
         BallCone(+1, 3, 2)
-    with pytest.raises(ValueError):
-        SectorCone(+1, 4, 2, 0.0, (1, 0))
-    with pytest.raises(ValueError):
-        SectorCone(+1, 4, 2, 0.5, (2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +248,15 @@ def test_volume_case_config_validation():
         volume_case_config(HLH_HARD, gamma=0.5)
 
 
+def test_every_volume_sweep_axis_is_a_parameter_of_every_case():
+    # the schema takes the same sweep axes for every case; an axis some case
+    # did not take would pass it and then fail inside every task
+    for case in VOLUME_CASES:
+        for axis in _VOLUME_AXIS_NAMES:
+            cfg = volume_case_config(case, **{axis: 4})
+            assert cfg["params"][axis] == 4, (case, axis)
+
+
 def test_single_value_axis_reports_no_exponent():
     fit = volume_exponent_fit(HLH_EASY, {"N1": [16]}, samples=2_000, seed=0)
     assert "N1" not in fit.fits
@@ -400,10 +297,6 @@ def test_measured_volumes_respect_bound_shapes():
         HLH_HARD: [{"N1": 16, "L1": 1, "L2": 2}, {"N1": 32, "L1": 2, "L2": 4},
                    {"N1": 64, "L1": 8, "L2": 8}],
         HLH_EASY: [{"N1": 16, "L1": 1}, {"N1": 32, "L1": 4}],
-        LHH_SECTOR_S1: [{"N0": 16, "L1": 1, "gamma": 0.25},
-                        {"N0": 32, "L1": 2, "gamma": 0.125}],
-        LHH_SECTOR_S2: [{"N0": 16, "L1": 1, "L2": 4},
-                        {"N0": 32, "L1": 2, "L2": 2}],
     }
     for case, configs in cases.items():
         for kw in configs:
@@ -412,13 +305,6 @@ def test_measured_volumes_respect_bound_shapes():
                                    seed=13)
             assert est.mean <= 32.0 * cfg["bound"] + 3 * est.std_error, (
                 case, kw, est.mean, cfg["bound"])
-
-
-def test_sector_case_volumes_positive():
-    for case in (LHH_SECTOR_S1, LHH_SECTOR_S2):
-        cfg = volume_case_config(case)
-        est = region_volume_mc(cfg["region"], cfg["box"], samples=100_000, seed=14)
-        assert est.mean > 0.0, case
 
 
 def _volume_points():
@@ -448,15 +334,3 @@ def test_case_boxes_enclose_their_regions():
         assert shell.shape[1] > 50_000
         hits = np.count_nonzero(cfg["region"].contains(*shell))
         assert hits == 0, (case, params, hits)
-
-
-def test_wide_sector_box_encloses_region():
-    # sectors whose angular interval reaches past +-pi still get an
-    # enclosing box: compare against quadrature over a safe cube
-    for omega, gamma in (((-1.0, 0.0), 2.5), ((0.0, -1.0), 2.0),
-                         ((1.0, 0.0), math.pi)):
-        sec = SectorCone(+1, 4, 2, gamma, omega)
-        own = region_volume_quadrature(sec, sec.bounding_box(), nodes=120)
-        safe_box = ((0.0, 10.0), (-8.0, 8.0), (-8.0, 8.0))
-        safe = region_volume_quadrature(sec, safe_box, nodes=120)
-        assert own == pytest.approx(safe, rel=0.05)

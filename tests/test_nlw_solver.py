@@ -11,7 +11,7 @@ from conewave import (FREQUENCY, PHYSICAL, CauchyData, GridSpec, Nonlinearity,
 from conewave import nlw_solver, spectral_grid
 from conewave.nlw_solver import (_duhamel_data, _evolve, _halfwave,
                                   free_trajectory, gradient_magnitude_trajectory,
-                                  strichartz_ratio)
+                                  strichartz_ratio, strichartz_summary)
 from conewave.norms import fl_norm, spatial_l2
 from conewave.spectral_grid import to_frequency, to_physical
 
@@ -760,3 +760,20 @@ def test_strichartz_ratio_plane_wave_constant_across_resolutions():
         g = SpatialField(grid, np.zeros(grid.spatial_shape), PHYSICAL)
         ratios.append(strichartz_ratio(CauchyData(f, g), q_t=4.0))
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
+
+
+def test_strichartz_summary_slope_of_medians():
+    # medians 8, 4 and 2 at resolutions 32, 64 and 128: slope -1; a failed
+    # member (None) is left out of the records and the medians
+    members = {32: [8.0, 100.0, 1.0, None], 64: [4.0, 4.0, 50.0],
+               128: [2.0, 0.5, 3.0]}
+    tasks = [{"resolution": m, "seed": i} for m, rs in members.items()
+             for i in range(len(rs))]
+    ratios = [r for rs in members.values() for r in rs]
+    probe = strichartz_summary(tasks, ratios)
+    assert len(probe.records) == 9
+    assert probe.medians == {32: 8.0, 64: 4.0, 128: 2.0}
+    assert probe.slope == pytest.approx(-1.0, abs=1e-12)
+    # fewer than two resolutions with a median: the slope is 0
+    one = strichartz_summary(tasks[:4] + tasks[4:7], ratios[:4] + [None] * 3)
+    assert one.medians == {32: 8.0} and one.slope == 0.0
