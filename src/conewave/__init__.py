@@ -12,9 +12,8 @@ from .frequency_geometry import (AnnularCone, BallCone, Intersect, Reflect,
 from .norms import (LebesgueExponents, critical_exponent, fl_norm, mixed_norm,
                     scaling_law_check, sobolev_correspondence)
 from .trilinear_forms import (AscentConfig, BallConeRegions,
-                              ConstantMeasurement, EstimateForm, ExponentFit,
-                              best_constant, eval_J, exponent_regression,
-                              predicted_constant)
+                              ConstantMeasurement, EstimateForm, best_constant,
+                              eval_J, predicted_constant)
 from .dyadic_ledger import (CASES, FeasibleInterval, InequalityCheck,
                             LedgerParams, Verdict, check_all, check_case,
                             feasible_b)

@@ -1,4 +1,4 @@
-"""Experiment orchestration: configs, deterministic sweeps, CSV/JSON results.
+"""Experiment orchestration: configs, deterministic sweeps, CSV results.
 
 Configs are flat INI files (sections of key = value pairs), checked against
 one schema per experiment kind before any work starts.  Every experiment
@@ -396,9 +396,8 @@ def _json_cell(value):
     return value
 
 
-def emit_results(records, fmt: str, path, field_order=None) -> Path:
-    """Write homogeneous records as CSV (17 significant digits, UTF-8, LF)
-    or JSON (one object per record, keys sorted, rationals as "num/den")."""
+def emit_results(records, path, field_order=None) -> Path:
+    """Write homogeneous records as CSV (17 significant digits, UTF-8, LF)."""
     records = list(records)
     if field_order is None:
         if not records:
@@ -410,19 +409,11 @@ def emit_results(records, fmt: str, path, field_order=None) -> Path:
                 f"mixed record schemas: {sorted(rec.keys())} vs {sorted(field_order)}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(field_order)
-            for rec in records:
-                writer.writerow([format_cell(rec[k]) for k in field_order])
-    elif fmt == "json":
-        payload = [{k: _json_cell(rec[k]) for k in sorted(rec)} for rec in records]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(field_order)
+        for rec in records:
+            writer.writerow([format_cell(rec[k]) for k in field_order])
     return path
 
 
@@ -433,8 +424,6 @@ def _sha256(path: Path) -> str:
 
 
 def _record_count(path: Path) -> int:
-    if path.suffix != ".csv":
-        return 0
     with open(path, "r", encoding="utf-8") as fh:
         return max(0, sum(1 for _ in fh) - 1)
 
@@ -443,27 +432,18 @@ def _record_count(path: Path) -> int:
 # worker pool
 # ---------------------------------------------------------------------------
 
-_TASK_REGISTRY = {}
-
-
-def register_task(name):
-    def deco(fn):
-        _TASK_REGISTRY[name] = fn
-        return fn
-    return deco
-
-
 def _run_task(payload):
-    name, index, kwargs = payload
+    fn, index, kwargs = payload
     try:
-        return index, _TASK_REGISTRY[name](**kwargs), None
+        return index, fn(**kwargs), None
     except Exception as exc:   # pragma: no cover - exercised via failure test
         return index, None, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
 
 
-def run_tasks(name: str, task_kwargs: list, workers: int):
-    """Deterministic parallel map: results returned in task order."""
-    payloads = [(name, i, kw) for i, kw in enumerate(task_kwargs)]
+def run_tasks(fn, task_kwargs: list, workers: int):
+    """Deterministic parallel map of fn, a module-level function (it pickles
+    by reference), over keyword sets: results returned in task order."""
+    payloads = [(fn, i, kw) for i, kw in enumerate(task_kwargs)]
     if workers <= 1 or len(payloads) <= 1:
         raw = [_run_task(p) for p in payloads]
     else:
@@ -488,7 +468,6 @@ def _grid_spec(grid: dict) -> GridSpec:
                     time_period=TWO_PI / grid["d_tau"])
 
 
-@register_task("ledger_point")
 def _ledger_point(r, s):
     interval = feasible_b(r, s - 1)
     return {
@@ -510,14 +489,11 @@ def _run_ledger(cfg: ExperimentConfig, workers: int, out: Path):
              for s in (p["s"] or ()) + tuple(
                  VOLUME_EXPONENTS[HLH_HARD]["N1"] / r + 1 + off
                  for off in p["s_offsets"] or ())]
-    results, errors = run_tasks("ledger_point", tasks, workers)
+    results, errors = run_tasks(_ledger_point, tasks, workers)
     records = [r for r in results if r is not None]
-    files = [emit_results(records, "csv", out / "ledger.csv",
+    files = [emit_results(records, out / "ledger.csv",
                           ["r", "s", "feasible", "b_lo", "b_hi"])]
     return files, errors
-
-
-register_task("volume_point")(volume_point)
 
 
 def _run_volumes(cfg: ExperimentConfig, workers: int, out: Path):
@@ -527,7 +503,7 @@ def _run_volumes(cfg: ExperimentConfig, workers: int, out: Path):
                   samples=p["samples"], seed=cfg.seed + 1000 * i + vi)
              for i, (_, axis, values, base) in enumerate(sweeps)
              for vi, value in enumerate(values)]
-    results, errors = run_tasks("volume_point", tasks, workers)
+    results, errors = run_tasks(volume_point, tasks, workers)
     series, fits = [], []
     gathered = iter(results)
     for sweep_name, axis, values, _ in sweeps:
@@ -543,31 +519,26 @@ def _run_volumes(cfg: ExperimentConfig, workers: int, out: Path):
         fits.append({"case": p["case"], "axis": axis, "exponent": f.exponent,
                      "intercept": f.intercept, "r_squared": f.r_squared})
     keys = sorted({k for rec in series for k in rec})
-    for rec in series:
-        for k in keys:
-            rec.setdefault(k, "")
-    files = [emit_results(series, "csv", out / "volumes.csv", keys)]
+    files = [emit_results(series, out / "volumes.csv", keys)]
     if fits:
-        files.append(emit_results(fits, "csv", out / "volume_fits.csv",
+        files.append(emit_results(fits, out / "volume_fits.csv",
                                   ["case", "axis", "exponent", "intercept",
                                    "r_squared"]))
     return files, errors
 
 
-@register_task("constant_point")
 def _constant_point(nx, nt, N0, N1, N2, L1, L2, signs, r, restarts, max_iters,
                     tol, seed, sweep, axis):
     grid = GridSpec(nx=nx, nt=nt, spatial_period=TWO_PI, time_period=TWO_PI)
     sign_values = tuple(+1 if s == "+" else -1 for s in signs)
     regions = BallConeRegions(N=(N0, N1, N2), L=(L1, L2), signs=sign_values)
     cfg = AscentConfig(restarts=restarts, max_iters=max_iters, tol=tol, seed=seed)
-    m = best_constant(grid, regions.A0, regions.A1, regions.A2, r, cfg,
-                      N=(N0, N1, N2), L=(L1, L2), signs=sign_values)
+    m = best_constant(grid, regions.A0, regions.A1, regions.A2, r, cfg)
     return {"sweep": sweep, "axis": axis, "N0": N0, "N1": N1, "N2": N2,
             "L1": L1, "L2": L2, "signs": "".join(signs),
             "r": r, "measured_C": m.measured_C,
             "iterations": m.iterations, "converged": m.converged,
-            "restarts": m.restarts, "seed": seed, "degenerate": m.degenerate,
+            "restarts": restarts, "seed": seed, "degenerate": m.degenerate,
             "trace": m.trace}
 
 
@@ -584,7 +555,7 @@ def _run_constants(cfg: ExperimentConfig, workers: int, out: Path):
                                   seed=cfg.seed + 101 * len(tasks),
                                   sweep=f"{sweep_name}:{sgn_label}", axis=axis,
                                   signs=sgn, **dict(base, **{axis: val})))
-    results, errors = run_tasks("constant_point", tasks, workers)
+    results, errors = run_tasks(_constant_point, tasks, workers)
     records = [r_ for r_ in results if r_ is not None]
     key = ["sweep", "N0", "N1", "N2", "L1", "L2", "signs"]
     trace_rows = []
@@ -595,8 +566,8 @@ def _run_constants(cfg: ExperimentConfig, workers: int, out: Path):
     cols = ["sweep", "axis", "N0", "N1", "N2", "L1", "L2", "signs", "r",
             "measured_C", "iterations", "converged", "restarts", "seed",
             "degenerate"]
-    files = [emit_results(records, "csv", out / "constants.csv", cols),
-             emit_results(trace_rows, "csv", out / "ascent_trace.csv",
+    files = [emit_results(records, out / "constants.csv", cols),
+             emit_results(trace_rows, out / "ascent_trace.csv",
                           key + ["iteration", "value"])]
     fits = []
     for label in sorted({rec["sweep"] for rec in records}):
@@ -609,7 +580,7 @@ def _run_constants(cfg: ExperimentConfig, workers: int, out: Path):
             fits.append({"sweep": label, "axis": axis, "exponent": f.exponent,
                          "intercept": f.intercept, "r_squared": f.r_squared})
     if fits:
-        files.append(emit_results(fits, "csv", out / "constant_fits.csv",
+        files.append(emit_results(fits, out / "constant_fits.csv",
                                   ["sweep", "axis", "exponent", "intercept",
                                    "r_squared"]))
     return files, errors
@@ -648,17 +619,17 @@ def _run_solve(cfg: ExperimentConfig, workers: int, out: Path):
             "rk4_energy": energy(oracle.u[j], oracle.u_t[j]),
             "abs_diff_l2": diff,
         })
-    files = [emit_results(records, "csv", out / "trajectory.csv")]
+    files = [emit_results(records, out / "trajectory.csv")]
     summary = [{
         "converged": report.converged,
         "iterations": len(report.residuals),
         "final_residual": report.residuals[-1] if report.residuals else 0.0,
         "rk4_unstable": oracle.meta.get("unstable", False),
     }]
-    files.append(emit_results(summary, "csv", out / "summary.csv"))
+    files.append(emit_results(summary, out / "summary.csv"))
     history = [{"iteration": i, "residual": r}
                for i, r in enumerate(report.residuals, start=1)]
-    files.append(emit_results(history, "csv", out / "residuals.csv",
+    files.append(emit_results(history, out / "residuals.csv",
                               field_order=["iteration", "residual"]))
     return files, []
 
@@ -675,26 +646,23 @@ def _run_scaling(cfg: ExperimentConfig, workers: int, out: Path):
             records.append({"s": s, "r": r, "lambda": lam, "ratio": rep.ratio,
                             "predicted": rep.predicted,
                             "rel_error": rep.rel_error, "aliased": rep.aliased})
-    files = [emit_results(records, "csv", out / "scaling.csv")]
+    files = [emit_results(records, out / "scaling.csv")]
     return files, []
-
-
-register_task("strichartz_member")(strichartz_member)
 
 
 def _run_strichartz(cfg: ExperimentConfig, workers: int, out: Path):
     p = cfg.values["params"]
     tasks = strichartz_tasks(p["ensemble"], p["q_t"], p["resolutions"],
                              cfg.seed, nt=p["nt"])
-    ratios, errors = run_tasks("strichartz_member", tasks, workers)
+    ratios, errors = run_tasks(strichartz_member, tasks, workers)
     probe = strichartz_summary(tasks, ratios)
-    files = [emit_results(probe.records, "csv", out / "ratios.csv",
+    files = [emit_results(probe.records, out / "ratios.csv",
                           ["resolution", "seed", "ratio"])]
     medians = [{"resolution": m, "median_ratio": v}
                for m, v in sorted(probe.medians.items())]
-    files.append(emit_results(medians, "csv", out / "medians.csv",
+    files.append(emit_results(medians, out / "medians.csv",
                               ["resolution", "median_ratio"]))
-    files.append(emit_results([{"slope": probe.slope}], "csv", out / "slope.csv"))
+    files.append(emit_results([{"slope": probe.slope}], out / "slope.csv"))
     return files, errors
 
 

@@ -176,7 +176,6 @@ class VolumeEstimate:
     mean: float
     std_error: float
     samples: int
-    seed: int
     hits: int = 0
 
     def __post_init__(self):
@@ -234,7 +233,7 @@ def region_volume_mc(region: Region, bounding_box, samples: int,
     else:
         std_error = 0.0
     return VolumeEstimate(mean=mean, std_error=std_error, samples=samples,
-                          seed=seed, hits=hits)
+                          hits=hits)
 
 
 def region_volume_quadrature(region: Region, bounding_box, nodes: int = 200) -> float:
@@ -333,7 +332,7 @@ def volume_case_config(case: str, **params):
 
 
 @dataclass(frozen=True)
-class VolumeExponentFit:
+class VolumeFits:
     """Per-axis log2-log2 exponents of measured interaction volumes."""
 
     case: str
@@ -363,7 +362,7 @@ def fit_volume_sweep(axis: str, records) -> PowerLawFit:
 
 
 def volume_exponent_fit(case: str, parameter_ranges: dict, samples: int,
-                        seed: int, base: dict | None = None) -> VolumeExponentFit:
+                        seed: int, base: dict | None = None) -> VolumeFits:
     """Measure interaction volumes along dyadic parameter axes and fit exponents.
 
     Each axis in `parameter_ranges` is varied on its own, the remaining
@@ -382,4 +381,4 @@ def volume_exponent_fit(case: str, parameter_ranges: dict, samples: int,
         series.extend(records)
         if len(records) >= 2:
             fits[axis] = fit_volume_sweep(axis, records)
-    return VolumeExponentFit(case=case, fits=fits, series=tuple(series))
+    return VolumeFits(case=case, fits=fits, series=tuple(series))

@@ -110,7 +110,6 @@ class Trajectory:
     times: np.ndarray
     u: tuple
     u_t: tuple
-    provenance: str
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -186,11 +185,11 @@ def _evolve(tables, f_hat, g_hat) -> np.ndarray:
     return out
 
 
-def _trajectory(grid: GridSpec, times, hats, provenance: str, meta) -> Trajectory:
+def _trajectory(grid: GridSpec, times, hats, **meta) -> Trajectory:
     """Trajectory of the spectra (u-hat, u_t-hat), (2, n, nx, nx); overwrites them."""
     fields = _fields(grid, hats.reshape((-1,) + grid.spatial_shape))
     return Trajectory(grid=grid, times=times, u=fields[:len(times)],
-                      u_t=fields[len(times):], provenance=provenance, meta=meta)
+                      u_t=fields[len(times):], meta=meta)
 
 
 def free_solution(data: CauchyData, t: float):
@@ -206,7 +205,7 @@ def free_trajectory(data: CauchyData, T: float, n_steps: int) -> Trajectory:
     times = T * np.arange(n_steps + 1) / n_steps
     hats = _evolve(_halfwave(grid.xi_magnitude(), times),
                    to_frequency(data.f).values, to_frequency(data.g).values)
-    return _trajectory(grid, times, hats, "free", {})
+    return _trajectory(grid, times, hats)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +352,7 @@ def picard_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig):
             break
         if not math.isfinite(resid):
             break
-    traj = _trajectory(grid, times, w, "picard", {"iterations": len(residuals)})
+    traj = _trajectory(grid, times, w)
     return traj, PicardReport(residuals=tuple(residuals), converged=converged)
 
 
@@ -388,7 +387,7 @@ def rk4_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig) -> Tra
         if not math.isfinite(top) or top > 1e12 * init_scale:
             unstable = True
         hats[:, step] = u_hat, v_hat
-    return _trajectory(grid, config.times, hats, "rk4", {"unstable": unstable})
+    return _trajectory(grid, config.times, hats, unstable=unstable)
 
 
 def energy(u: SpatialField, u_t: SpatialField) -> float:

@@ -119,7 +119,6 @@ def critical_exponent(r, n=2, equation: str = "grad_square") -> Fraction:
 class ScalingReport:
     """Outcome of one homogeneous-norm scaling check."""
 
-    lam: float
     ratio: float
     predicted: float
     rel_error: float
@@ -155,12 +154,11 @@ def scaling_law_check(f: SpatialField, s, r, lam) -> ScalingReport:
     scale = np.abs(fhat.values).max()
     predicted = float(lam) ** (s - 2.0 / float(r))
     if scale > 0 and max(nyq1, nyq2) > 1e-13 * scale:
-        return ScalingReport(lam=float(lam), ratio=float("nan"),
-                             predicted=predicted, rel_error=float("nan"),
-                             aliased=True)
+        return ScalingReport(ratio=float("nan"), predicted=predicted,
+                             rel_error=float("nan"), aliased=True)
     base = fl_norm(f, r, s, homogeneous=True)
     scaled = fl_norm(rescale_spatial(f, lam), r, s, homogeneous=True)
     ratio = scaled / base
-    return ScalingReport(lam=float(lam), ratio=ratio, predicted=predicted,
+    return ScalingReport(ratio=ratio, predicted=predicted,
                          rel_error=abs(ratio - predicted) / predicted,
                          aliased=False)

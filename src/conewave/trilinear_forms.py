@@ -1,4 +1,4 @@
-"""Trilinear convolution form, empirical best constants, and exponent fits.
+"""Trilinear convolution form and empirical best constants.
 
 The dual trilinear form J couples three frequency-lattice densities through
 the convolution constraint X0 + X1 + X2 = 0 (with periodic index wrap).  The
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._regression import fit_power_law
 from .frequency_geometry import (_VACUOUS_L, HLH_EASY, HLH_HARD,
                                  VOLUME_EXPONENTS, BallCone, Reflect)
 from .norms import LebesgueExponents
@@ -210,25 +209,13 @@ class AscentConfig:
 
 @dataclass(frozen=True)
 class ConstantMeasurement:
-    """One measured best constant at a dyadic configuration."""
+    """One measured best constant and the ascent that reached it."""
 
-    N: tuple
-    L: tuple
-    signs: tuple
-    r: float
     measured_C: float
     iterations: int
     converged: bool
-    restarts: int
-    seed: int
     degenerate: bool = False
     trace: tuple = field(default=(), repr=False)
-
-    def axis_value(self, axis: str):
-        order = {"N0": ("N", 0), "N1": ("N", 1), "N2": ("N", 2),
-                 "L1": ("L", 0), "L2": ("L", 1)}
-        group, idx = order[axis]
-        return getattr(self, group)[idx]
 
 
 def _normalize(values: np.ndarray, q: float, w: float) -> np.ndarray:
@@ -239,9 +226,7 @@ def _normalize(values: np.ndarray, q: float, w: float) -> np.ndarray:
 
 
 def best_constant(grid: GridSpec, A0, A1, A2, r,
-                  config: AscentConfig = AscentConfig(),
-                  N=(None,) * 3, L=(None,) * 2,
-                  signs=(None,) * 3) -> ConstantMeasurement:
+                  config: AscentConfig = AscentConfig()) -> ConstantMeasurement:
     """Measure sup J(F0, F1, F2) / (|F0|_r |F1|_p |F2|_p) over the regions.
 
     Nonnegative fields supported on the lattice masks of A0, A1, A2 are
@@ -312,15 +297,9 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
             best_iters = iters
             best_converged = converged
 
-    if best_val <= 0.0:
-        return ConstantMeasurement(N=N, L=L, signs=signs, r=r, measured_C=0.0,
-                                   iterations=best_iters, converged=False,
-                                   restarts=config.restarts, seed=config.seed,
-                                   degenerate=True, trace=best_trace)
-    return ConstantMeasurement(N=N, L=L, signs=signs, r=r, measured_C=best_val,
+    return ConstantMeasurement(measured_C=max(best_val, 0.0),
                                iterations=best_iters, converged=best_converged,
-                               restarts=config.restarts, seed=config.seed,
-                               degenerate=False, trace=best_trace)
+                               degenerate=best_val <= 0.0, trace=best_trace)
 
 
 def objective_value(grid: GridSpec, fields) -> float:
@@ -332,56 +311,3 @@ def objective_value(grid: GridSpec, fields) -> float:
                           grid.shape, every)
     return float(np.sum(np.asarray(fields[0], dtype=float) * g) * w2)
 
-
-# ---------------------------------------------------------------------------
-# regression of measured constants
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExponentFit:
-    """Per-axis power-law fits of measured constants."""
-
-    fits: dict   # axis name -> PowerLawFit
-
-    def exponent(self, axis: str) -> float:
-        return self.fits[axis].exponent
-
-    def r_squared(self, axis: str) -> float:
-        return self.fits[axis].r_squared
-
-
-_AXES = ("N0", "N1", "N2", "L1", "L2")
-
-
-def exponent_regression(measurements, varied_axes) -> ExponentFit:
-    """Least-squares log2 fits of measured_C against each varied dyadic axis.
-
-    For every axis the fit uses the measurements whose *other* axes sit at
-    their modal values; designs with fewer than three distinct points per
-    axis, or with no clean one-axis-at-a-time series, are rejected.
-    """
-    measurements = list(measurements)
-    if not measurements:
-        raise ValueError("exponent_regression requires at least one measurement")
-    fits = {}
-    for axis in varied_axes:
-        if axis not in _AXES:
-            raise ValueError(f"unknown axis {axis!r}; choose from {_AXES}")
-        others = [a for a in _AXES if a != axis
-                  and measurements[0].axis_value(a) is not None]
-        modal = {}
-        for o in others:
-            vals = [m.axis_value(o) for m in measurements]
-            modal[o] = max(set(vals), key=vals.count)
-        series = [m for m in measurements
-                  if all(m.axis_value(o) == modal[o] for o in others)]
-        xs = [m.axis_value(axis) for m in series]
-        if len(set(xs)) < 3:
-            raise ValueError(
-                f"degenerate design for axis {axis!r}: need >= 3 distinct dyadic "
-                f"points with the other axes fixed, found {sorted(set(xs))}")
-        ys = [m.measured_C for m in series]
-        if any(y <= 0 for y in ys):
-            raise ValueError(f"axis {axis!r} series contains nonpositive constants")
-        fits[axis] = fit_power_law(np.array(xs, float), np.array(ys, float))
-    return ExponentFit(fits=fits)

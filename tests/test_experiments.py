@@ -12,6 +12,7 @@ import pytest
 
 from conewave import (emit_results, experiments, load_config, run_experiment,
                       volume_exponent_fit)
+from conewave._regression import fit_power_law
 from conewave.cli import main as cli_main
 from conewave.experiments import (ConfigError, ExperimentConfig, format_cell,
                                   resolve_workers)
@@ -87,30 +88,21 @@ s = 789/400
 # ---------------------------------------------------------------------------
 
 def test_emit_empty_records_header_only(tmp_path):
-    out = emit_results([], "csv", tmp_path / "empty.csv", ["a", "b"])
+    out = emit_results([], tmp_path / "empty.csv", ["a", "b"])
     assert out.read_text() == "a,b\n"
     with pytest.raises(ValueError):
-        emit_results([], "csv", tmp_path / "e2.csv")
+        emit_results([], tmp_path / "e2.csv")
 
 
 def test_emit_rejects_mixed_schemas(tmp_path):
     with pytest.raises(ValueError):
-        emit_results([{"a": 1}, {"b": 2}], "csv", tmp_path / "bad.csv")
-
-
-def test_emit_json_rationals_and_sorted_keys(tmp_path):
-    recs = [{"beta": Fraction(3, 4), "alpha": 1.5}]
-    out = emit_results(recs, "json", tmp_path / "r.json")
-    payload = json.loads(out.read_text())
-    assert payload == [{"alpha": 1.5, "beta": "3/4"}]
-    text = out.read_text()
-    assert text.index('"alpha"') < text.index('"beta"')
+        emit_results([{"a": 1}, {"b": 2}], tmp_path / "bad.csv")
 
 
 def test_csv_floats_round_trip_exactly(tmp_path):
     values = [math.pi, 1.0 / 3.0, 6.02e23, 1e-300, -0.1]
     recs = [{"x": v} for v in values]
-    out = emit_results(recs, "csv", tmp_path / "f.csv")
+    out = emit_results(recs, tmp_path / "f.csv")
     rows = list(csv.DictReader(open(out)))
     for rec, row in zip(recs, rows):
         assert float(row["x"]) == rec["x"]
@@ -312,17 +304,27 @@ tol = 1e-6
 n0 = 8
 n1 = 2
 n2 = 4
-l1 = 1 2
+l1 = 1 2 4
 l2 = 2
 """)
     manifest = run_experiment(path, workers=2, out_dir=tmp_path / "out")
     assert manifest["complete"]
     rows = list(csv.DictReader(open(tmp_path / "out" / "constants.csv")))
-    assert len(rows) == 4        # 2 values x 2 sign patterns
+    assert len(rows) == 6        # 3 values x 2 sign patterns
     sweeps = {row["sweep"] for row in rows}
     assert sweeps == {"l1:base", "l1:alt"}
     for row in rows:
         assert float(row["measured_C"]) > 0
+    # each sweep's fit is fit_power_law over its rows, to the written digit
+    fits = list(csv.DictReader(open(tmp_path / "out" / "constant_fits.csv")))
+    assert sorted(fit["sweep"] for fit in fits) == sorted(sweeps)
+    for fit in fits:
+        series = [row for row in rows if row["sweep"] == fit["sweep"]]
+        expected = fit_power_law([int(row["L1"]) for row in series],
+                                 [float(row["measured_C"]) for row in series])
+        assert fit["axis"] == "L1"
+        assert fit["exponent"] == format_cell(expected.exponent)
+        assert fit["r_squared"] == format_cell(expected.r_squared)
     # the trace table holds each point's ascent, ending at its constant
     trace = list(csv.DictReader(open(tmp_path / "out" / "ascent_trace.csv")))
     assert list(trace[0]) == ["sweep", "N0", "N1", "N2", "L1", "L2", "signs",
@@ -739,7 +741,7 @@ def test_worker_failure_marks_incomplete(tmp_path, capsys, monkeypatch):
     def fail(**kwargs):
         raise RuntimeError("task failed")
 
-    monkeypatch.setitem(experiments._TASK_REGISTRY, "volume_point", fail)
+    monkeypatch.setattr(experiments, "volume_point", fail)
     path = write_config(tmp_path, """
 [experiment]
 kind = volumes
