@@ -20,6 +20,7 @@ import multiprocessing
 import os
 import platform
 import traceback
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -570,15 +571,20 @@ def _run_constants(cfg: ExperimentConfig, workers: int, out: Path):
              emit_results(trace_rows, out / "ascent_trace.csv",
                           key + ["iteration", "value"])]
     fits = []
-    for label in sorted({rec["sweep"] for rec in records}):
+    counts = Counter(task["sweep"] for task in tasks)
+    for label in sorted(counts):
         series = [rec for rec in records if rec["sweep"] == label]
+        if len(series) != counts[label]:
+            continue
         axis = series[0]["axis"]
-        xs = [rec[axis] for rec in series]
-        ys = [rec["measured_C"] for rec in series]
-        if len(set(xs)) >= 3 and all(y > 0 for y in ys):
-            f = fit_power_law(np.array(xs, float), np.array(ys, float))
-            fits.append({"sweep": label, "axis": axis, "exponent": f.exponent,
-                         "intercept": f.intercept, "r_squared": f.r_squared})
+        try:
+            f = fit_power_law([rec[axis] for rec in series],
+                              [rec["measured_C"] for rec in series])
+        except ValueError as exc:
+            errors.append(f"sweep.{label}: {exc}")
+            continue
+        fits.append({"sweep": label, "axis": axis, "exponent": f.exponent,
+                     "intercept": f.intercept, "r_squared": f.r_squared})
     if fits:
         files.append(emit_results(fits, out / "constant_fits.csv",
                                   ["sweep", "axis", "exponent", "intercept",

@@ -71,41 +71,81 @@ def eval_J(F0: SpaceTimeField, F1: SpaceTimeField, F2: SpaceTimeField,
     raise ValueError(f"mode must be 'direct' or 'fast', got {mode!r}")
 
 
-def _spectrum(a: np.ndarray, rows) -> np.ndarray:
-    """Half spectrum rfftn(a) of a real lattice density that is zero off the
-    tau rows `rows` (an axis-0 index array or slice), as cached by the ascent.
+def _contiguous(index: np.ndarray):
+    """An ascending index array as a slice when it is a contiguous run, so
+    that indexing with it gives a view, not a copy."""
+    if index[-1] - index[0] + 1 == len(index):
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
+class _Lines:
+    """The (tau, xi1) lattice lines a region occupies, and its support there.
+
+    A slot's values live as an (nlines, nx) block whose row i is the xi2
+    line with flat (tau, xi1) index lines[i]; `support` is the region mask
+    on those lines and `rows` the sorted tau rows they lie on.  Each index
+    is a slice where it is a contiguous run.
+    """
+
+    def __init__(self, mask: np.ndarray):
+        nt, nx, _ = self.shape = mask.shape
+        self.half = (nt, nx, nx // 2 + 1)
+        occupied = mask.any(axis=2)
+        lines = np.flatnonzero(occupied)
+        rows = np.flatnonzero(occupied.any(axis=1))
+        self.lines = _contiguous(lines)
+        self.support = mask.reshape(-1, nx)[self.lines]
+        self.rows = _contiguous(rows)
+        # the same lines as flat (row, xi1) indices into a[rows]
+        self.row_lines = _contiguous(np.flatnonzero(occupied[rows]))
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """The block of a dense lattice array, zero off the support."""
+        return np.where(self.support,
+                        values.reshape(-1, self.shape[2])[self.lines], 0.0)
+
+
+def _line_spectrum(block: np.ndarray, lines: _Lines,
+                   out: np.ndarray) -> np.ndarray:
+    """Half spectrum rfftn(a), written into `out`, of the real lattice
+    density a that is `block` on the lines of `lines` and zero elsewhere.
 
     rfftn over (0, 1, 2) is an rfft on axis 2, an fft on axis 1, then an fft
-    on axis 0.  The first two stages transform each tau row on its own, so
-    they run on `rows` only; the result is bit-identical to rfftn, since a
-    zero row transforms to exact zeros and numpy runs every line through the
-    same 1-D plan whatever the batch size.
+    on axis 0.  The rfft transforms each (tau, xi1) line on its own, so it
+    runs on the block's lines only; the fft on axis 1 transforms each tau
+    row on its own, so it runs on `rows` only.  A zero line or row
+    transforms to exact zeros, and numpy runs every 1-D line through the
+    same plan whatever the batch size, so the result is bit-identical to
+    rfftn.
     """
-    part = np.fft.rfft(a[rows], axis=2)
-    spec = np.zeros(a.shape[:2] + part.shape[2:], dtype=complex)
-    spec[rows] = np.fft.fft(part, axis=1, out=part)
-    return np.fft.fft(spec, axis=0, out=spec)
+    out.fill(0.0)
+    out.reshape(-1, out.shape[2])[lines.lines] = np.fft.rfft(block, axis=1)
+    part = out[lines.rows]      # a view of out when rows is a slice
+    out[lines.rows] = np.fft.fft(part, axis=1, out=part)
+    return np.fft.fft(out, axis=0, out=out)
 
 
-def _effective_kernel(spec1: np.ndarray, spec2: np.ndarray,
-                      shape: tuple, rows) -> np.ndarray:
-    """g[j] = sum_k a1[k] * a2[(-j-k) mod n] on the tau rows `rows`, zero on
-    the others, from the half spectra of a1, a2.
+def _line_kernel(spec1: np.ndarray, spec2: np.ndarray, lines: _Lines,
+                 prod: np.ndarray) -> np.ndarray:
+    """g[j] = sum_k a1[k] * a2[(-j-k) mod n] on the lines of `lines`, as an
+    (nlines, nx) block, from the half spectra of a1, a2; `prod` is scratch.
 
     The inputs are real and nonnegative.  For real x the DFT of
     x[(-j) mod n] is conj(DFT(x)), so the flip-wrapped cyclic convolution is
     one inverse real transform of the conjugated product.  irfftn is an ifft
-    on axis 0, then an ifft on axis 1 and an irfft on axis 2; the last two
-    act on each tau row on its own, so they run on `rows` only and match
-    irfftn there bit for bit.
+    on axis 0, then an ifft on axis 1 and an irfft on axis 2.  The ifft on
+    axis 1 transforms each tau row on its own, so it runs on `rows` only,
+    and the irfft each (tau, xi1) line on its own, so it runs on the lines
+    only; through the same 1-D plans they match irfftn there bit for bit.
     """
-    prod = spec1 * spec2
+    np.multiply(spec1, spec2, out=prod)
     np.conjugate(prod, out=prod)
     np.fft.ifft(prod, axis=0, out=prod)
-    part = prod[rows]
+    part = prod[lines.rows]
     np.fft.ifft(part, axis=1, out=part)
-    g = np.zeros(shape)
-    g[rows] = np.fft.irfft(part, n=shape[2], axis=2)
+    g = np.fft.irfft(part.reshape(-1, part.shape[2])[lines.row_lines],
+                     n=lines.shape[2], axis=1)
     # rounding can leave tiny negatives on a nonnegative convolution
     np.maximum(g, 0.0, out=g)
     return g
@@ -243,8 +283,10 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
     masks = [region_mask(grid, A) for A in (A0, A1, A2)]
     if not all(m.any() for m in masks):
         raise ValueError("best_constant requires regions nonempty on the lattice")
-    # every slot is zero off its tau rows, so its transforms skip them
-    rows = [np.flatnonzero(m.any(axis=(1, 2))) for m in masks]
+    # every slot is zero off its lines, so it lives and transforms there
+    slots = [_Lines(m) for m in masks]
+    buffers = [np.empty(s.half, dtype=complex) for s in slots]
+    prod = np.empty(slots[0].half, dtype=complex)
 
     best_val = -1.0
     best_trace = ()
@@ -257,10 +299,10 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
             starts = (np.maximum(np.asarray(init, dtype=float), 0.0)
                       for init in config.initial)
         else:
-            starts = (rng.random(grid.shape) for _ in masks)
+            starts = (rng.random(grid.shape) for _ in slots)
         # an update reads the other slots only through their spectra
-        spectra = [_spectrum(_normalize(np.where(mask, v, 0.0), q, w), rows_j)
-                   for v, mask, rows_j, q in zip(starts, masks, rows, q_slot)]
+        spectra = [_line_spectrum(_normalize(s.restrict(v), q, w), s, buf)
+                   for v, s, buf, q in zip(starts, slots, buffers, q_slot)]
 
         value = -math.inf
         trace = []
@@ -271,16 +313,15 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
             prev = value
             for j in range(3):
                 k, l = (j + 1) % 3, (j + 2) % 3
-                g = _effective_kernel(spectra[k], spectra[l], grid.shape,
-                                      rows[j])
-                g *= masks[j]
+                g = _line_kernel(spectra[k], spectra[l], slots[j], prod)
+                g *= slots[j].support
                 gmax = g.max()
                 if gmax == 0.0:
                     dead = True
                     break
                 q = q_slot[j]
                 f = _normalize(g ** (1.0 / (q - 1.0)), q, w)
-                spectra[j] = _spectrum(f, rows[j])
+                spectra[j] = _line_spectrum(f, slots[j], buffers[j])
                 value = float(np.sum(f * g) * w2)
             if dead:
                 break
@@ -304,10 +345,12 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
 
 def objective_value(grid: GridSpec, fields) -> float:
     """J of a (F0, F1, F2) value triple (arrays), for oracle comparisons."""
-    w2 = grid.freq_cell ** 2
-    every = slice(None)
-    g = _effective_kernel(_spectrum(np.asarray(fields[1], dtype=float), every),
-                          _spectrum(np.asarray(fields[2], dtype=float), every),
-                          grid.shape, every)
-    return float(np.sum(np.asarray(fields[0], dtype=float) * g) * w2)
-
+    every = _Lines(np.ones(grid.shape, dtype=bool))
+    # on every line a slot's block is the lattice array itself
+    f0, f1, f2 = (np.asarray(f, dtype=float).reshape(-1, grid.nx)
+                  for f in fields)
+    spec1, spec2 = (np.empty(every.half, dtype=complex) for _ in range(2))
+    # the product overwrites the first spectrum, which nothing reads after
+    g = _line_kernel(_line_spectrum(f1, every, spec1),
+                     _line_spectrum(f2, every, spec2), every, spec1)
+    return float(np.sum(f0 * g) * grid.freq_cell ** 2)

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conewave import (emit_results, experiments, load_config, run_experiment,
-                      volume_exponent_fit)
+from conewave import (ConstantMeasurement, emit_results, experiments,
+                      load_config, run_experiment, volume_exponent_fit)
 from conewave._regression import fit_power_law
 from conewave.cli import main as cli_main
 from conewave.experiments import (ConfigError, ExperimentConfig, format_cell,
@@ -336,6 +336,70 @@ l2 = 2
             range(1, int(row["iterations"]) + 1))
         assert steps[-1]["value"] == row["measured_C"]
     assert len(trace) == sum(int(row["iterations"]) for row in rows)
+
+
+_TWO_POINT_CONSTANTS = """
+[experiment]
+kind = constants
+seed = 2
+
+[grid]
+nx = 8
+nt = 16
+
+[regions]
+signs = + + +
+compare_signs = + + -
+
+[ascent]
+restarts = 1
+max_iters = 10
+
+[sweep.l1]
+n0 = 8
+n1 = 2
+n2 = 4
+l1 = 1 2
+l2 = 2
+"""
+
+
+def test_constants_two_point_sweep_writes_its_fit(tmp_path):
+    # the same minimum sweep length as volumes: two points fit a power law
+    path = write_config(tmp_path, _TWO_POINT_CONSTANTS)
+    assert cli_main(["constants", "--config", str(path), "--workers", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "out" / "constants.csv")))
+    fits = list(csv.DictReader(open(tmp_path / "out" / "constant_fits.csv")))
+    assert [fit["sweep"] for fit in fits] == ["l1:alt", "l1:base"]
+    for fit in fits:
+        series = [row for row in rows if row["sweep"] == fit["sweep"]]
+        assert len(series) == 2
+        expected = fit_power_law([int(row["L1"]) for row in series],
+                                 [float(row["measured_C"]) for row in series])
+        assert fit["exponent"] == format_cell(expected.exponent)
+
+
+def test_constants_failed_fit_is_named_in_errors(tmp_path, capsys,
+                                                 monkeypatch):
+    # a zero (degenerate) constant cannot be fitted on log axes; the run
+    # keeps its points, names each failed sweep and exits 1
+    zero = ConstantMeasurement(measured_C=0.0, iterations=1, converged=False,
+                               degenerate=True)
+    monkeypatch.setattr(experiments, "best_constant", lambda *a, **k: zero)
+    path = write_config(tmp_path, _TWO_POINT_CONSTANTS)
+    rc = cli_main(["constants", "--config", str(path), "--workers", "1",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["complete"] is False
+    message = "fit_power_law requires strictly positive data"
+    assert manifest["errors"] == [f"sweep.l1:alt: {message}",
+                                  f"sweep.l1:base: {message}"]
+    assert json.loads(capsys.readouterr().err)["errors"] == manifest["errors"]
+    rows = list(csv.DictReader(open(tmp_path / "out" / "constants.csv")))
+    assert len(rows) == 4
+    assert not (tmp_path / "out" / "constant_fits.csv").exists()
 
 
 def test_solve_experiment_smoke(tmp_path):

@@ -11,7 +11,8 @@ from conewave import (FREQUENCY, GridSpec, SpaceTimeField, AscentConfig,
 from conewave import trilinear_forms
 from conewave.frequency_geometry import HLH_EASY, HLH_HARD, VOLUME_EXPONENTS
 from conewave.spectral_grid import region_mask
-from conewave.trilinear_forms import _effective_kernel, _spectrum, objective_value
+from conewave.trilinear_forms import (_line_kernel, _line_spectrum, _Lines,
+                                      objective_value)
 
 from conftest import count_fft_calls, random_field
 
@@ -237,6 +238,28 @@ def test_best_constant_nested_region_monotone():
     assert m_small.measured_C <= m_big.measured_C + 1e-8
 
 
+def test_best_constant_warm_start_replaces_first_restart():
+    # the cold first restart draws its three fields from default_rng((seed, 0));
+    # handing the same draws over as `initial` must replay it exactly
+    grid = _small_grid()
+    regions = BallConeRegions(N=(8, 2, 4), L=(2, 2), signs=(+1, +1, +1))
+    seed = 9
+
+    def run(initial):
+        cfg = AscentConfig(restarts=1, max_iters=30, tol=1e-10, seed=seed,
+                           initial=initial)
+        return best_constant(grid, regions.A0, regions.A1, regions.A2, 1.7, cfg)
+
+    rng = np.random.default_rng((seed, 0))
+    same = tuple(rng.random(grid.shape) for _ in range(3))
+    cold, warm = run(None), run(same)
+    assert warm.measured_C == cold.measured_C
+    assert warm.trace == cold.trace
+    rng = np.random.default_rng((seed, 1))
+    other = run(tuple(rng.random(grid.shape) for _ in range(3)))
+    assert other.trace != cold.trace
+
+
 def test_best_constant_tracks_easy_shape_across_octaves():
     # degenerate modulation (L spanning the whole tau range): the measured
     # constants follow the saturated bound shape N_min^(2/p) L_min^(1/r),
@@ -279,50 +302,81 @@ def test_effective_kernel_matches_lattice_sum():
     rng = np.random.default_rng(7)
     f0, a, b = (rng.random(grid.shape) for _ in range(3))
     expected = _lattice_sum_kernel(a, b)
-    every = np.arange(grid.nt)
-    g = _effective_kernel(_spectrum(a, every), _spectrum(b, every), grid.shape,
-                          every)
-    assert g.shape == grid.shape
+    every = _Lines(np.ones(grid.shape, dtype=bool))
+    spec_a, spec_b, prod = (np.empty(every.half, dtype=complex)
+                            for _ in range(3))
+    g = _line_kernel(_line_spectrum(every.restrict(a), every, spec_a),
+                     _line_spectrum(every.restrict(b), every, spec_b),
+                     every, prod)
+    assert g.shape == (grid.nt * grid.nx, grid.nx)
+    g = g.reshape(grid.shape)
     assert np.max(np.abs(g - expected)) <= 1e-12 * np.max(expected)
     J = np.sum(f0 * expected) * grid.freq_cell ** 2
     assert objective_value(grid, (f0, a, b)) == pytest.approx(J, rel=1e-12)
 
 
-# row sets on the 64-row tau axis: contiguous, wrapping like slot 0's
-# tau <= 0 rows, a single row, every row
-@pytest.mark.parametrize("rows", [
-    np.arange(20, 37),
-    np.r_[0, 33:64],
-    np.array([5]),
-    np.arange(64),
-    slice(None),
-], ids=["contiguous", "wrapping", "single", "all", "all-slice"])
-def test_pruned_transforms_equal_full_transforms(rows):
+def _line_set(kind, shape):
+    """Region mask on a line set of the 64-row tau axis: part of the xi1
+    lines of contiguous rows, or of rows wrapping like slot 0's tau <= 0
+    rows; a single line; lines scattered over the lattice; every line."""
+    nt, nx, _ = shape
+    rng = np.random.default_rng(23)
+    lines = np.zeros((nt, nx), dtype=bool)
+    if kind == "contiguous":
+        lines[20:37] = rng.random((17, nx)) < 0.5
+    elif kind == "wrapping":
+        lines[np.r_[0, 33:64]] = rng.random((32, nx)) < 0.5
+    elif kind == "single":
+        lines[5, 3] = True
+    elif kind == "scattered":
+        lines = rng.random((nt, nx)) < 0.1
+    else:
+        lines[:] = True
+    mask = lines[:, :, None] & (rng.random(shape) < 0.7)
+    mask[:, :, 0] |= lines
+    return mask
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "wrapping", "single",
+                                  "scattered", "all"])
+def test_pruned_transforms_equal_full_transforms(kind):
     shape = (64, 16, 16)
+    mask = _line_set(kind, shape)
+    lines = _Lines(mask)
+    every_line = np.arange(shape[0] * shape[1])
+    assert np.array_equal(every_line[lines.lines],
+                          np.flatnonzero(mask.any(axis=2)))
     rng = np.random.default_rng(17)
-    a = np.zeros(shape)
-    a[rows] = rng.random(a[rows].shape)
-    assert np.array_equal(_spectrum(a, rows), np.fft.rfftn(a, axes=(0, 1, 2)))
+    a = np.where(mask, rng.random(shape), 0.0)
+    # a stale buffer: the spectrum must not depend on what it held
+    out = np.full(lines.half, np.nan, dtype=complex)
+    spec = _line_spectrum(lines.restrict(a), lines, out)
+    assert spec is out
+    assert np.array_equal(spec, np.fft.rfftn(a, axes=(0, 1, 2)))
 
     spec1, spec2 = (np.fft.rfftn(rng.random(shape), axes=(0, 1, 2))
                     for _ in range(2))
-    g = _effective_kernel(spec1, spec2, shape, rows)
+    prod = np.full(lines.half, np.nan, dtype=complex)
+    g = _line_kernel(spec1, spec2, lines, prod)
     full = np.fft.irfftn(np.conjugate(spec1 * spec2), s=shape, axes=(0, 1, 2))
     np.maximum(full, 0.0, out=full)
-    off = np.ones(shape[0], dtype=bool)
-    off[rows] = False
-    assert np.array_equal(g[rows], full[rows])
-    assert not g[off].any()
+    assert np.array_equal(g, full.reshape(-1, shape[2])[lines.lines])
 
 
-def _complex_fft_kernel(a, b, shape, rows):
+def _complex_fft_kernel(a, b):
     """The previous kernel: cyclic convolution by complex FFTs, flip-wrapped,
-    on every row."""
-    del rows
+    on the whole lattice."""
     conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
     g = np.roll(conv[::-1, ::-1, ::-1], shift=(1, 1, 1), axis=(0, 1, 2)).real
     np.maximum(g, 0.0, out=g)
     return g
+
+
+def _dense(block, lines):
+    """The lattice density that is `block` on its lines and zero elsewhere."""
+    a = np.zeros(lines.shape)
+    a.reshape(-1, lines.shape[2])[lines.lines] = block
+    return a
 
 
 # two shipped constants points (sweep l1 at L1 = 1, sweep n1 at N1 = 2 with
@@ -341,9 +395,13 @@ def test_best_constant_matches_complex_fft_kernel(monkeypatch, N, L, signs):
         return best_constant(grid, regions.A0, regions.A1, regions.A2, 2, cfg)
 
     new = run()
-    monkeypatch.setattr(trilinear_forms, "_spectrum", lambda a, rows: a)
-    monkeypatch.setattr(trilinear_forms, "_effective_kernel",
-                        _complex_fft_kernel)
+    # the reference carries dense lattice densities between the two helpers
+    monkeypatch.setattr(trilinear_forms, "_line_spectrum",
+                        lambda block, lines, out: _dense(block, lines))
+    monkeypatch.setattr(trilinear_forms, "_line_kernel",
+                        lambda a, b, lines, prod:
+                        _complex_fft_kernel(a, b).reshape(
+                            -1, lines.shape[2])[lines.lines])
     old = run()
     assert new.measured_C > 0
     assert new.measured_C == pytest.approx(old.measured_C, rel=1e-12)
@@ -351,29 +409,41 @@ def test_best_constant_matches_complex_fft_kernel(monkeypatch, N, L, signs):
     assert new.converged == old.converged
 
 
-@pytest.fixture
-def fft_calls(monkeypatch):
-    """Names of the np.fft transforms called from trilinear_forms."""
-    return count_fft_calls(monkeypatch, trilinear_forms)
-
-
-def test_best_constant_transform_count(fft_calls):
+def test_best_constant_transform_count(monkeypatch):
     # tol 0 never converges here, so each restart runs all max_iters sweeps
     grid = _small_grid()
     regions = BallConeRegions(N=(8, 2, 4), L=(2, 2), signs=(+1, +1, +1))
     restarts, sweeps = 2, 3
+    # leading size of each real transform's input: its number of lines
+    line_counts = []
+    for name in ("rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            line_counts.append(len(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recording)
+    fft_calls = count_fft_calls(monkeypatch, trilinear_forms)
     m = best_constant(grid, regions.A0, regions.A1, regions.A2, 2,
                       AscentConfig(restarts=restarts, max_iters=sweeps, tol=0.0,
                                    seed=1))
     assert m.iterations == sweeps and not m.converged
-    # a slot update is one inverse (ifft axis 0, then ifft axis 1 and irfft
-    # axis 2 on the slot's rows) and one forward (rfft axis 2 and fft axis 1
-    # on the rows, then fft axis 0); a restart adds three forwards
+    # a slot update is one inverse (ifft axis 0, ifft axis 1 on the slot's
+    # tau rows, irfft axis 2 on its lines) and one forward (rfft axis 2 on
+    # the lines, fft axis 1 on the rows, then fft axis 0); a restart adds
+    # three forwards
     forward = ["rfft", "fft", "fft"]
     inverse = ["ifft", "ifft", "irfft"]
     update = inverse + forward
     expected = (forward * 3 + update * 3 * sweeps) * restarts
     assert fft_calls == expected
+    nlines = [np.count_nonzero(region_mask(grid, A).any(axis=2))
+              for A in (regions.A0, regions.A1, regions.A2)]
+    # distinct counts, all below the lattice's, tell the slots apart
+    assert len(set(nlines)) == 3 and max(nlines) < grid.nt * grid.nx
+    assert line_counts == (nlines + [n for n in nlines for _ in range(2)]
+                           * sweeps) * restarts
 
 
 def test_best_constant_raises_no_warnings():
