@@ -7,19 +7,17 @@ __version__ = "0.1.0"
 from .spectral_grid import (FREQUENCY, PHYSICAL, GridSpec, SpaceTimeField,
                             SpatialField, dyadic_restrict, is_dyadic, transform)
 from .frequency_geometry import (AnnularCone, BallCone, Intersect, Reflect,
-                                 Translate, VolumeEstimate, region_volume_mc,
-                                 volume_exponent_fit)
+                                 Translate, VolumeEstimate, region_volume_mc)
 from .norms import (LebesgueExponents, critical_exponent, fl_norm, mixed_norm,
                     scaling_law_check, sobolev_correspondence)
 from .trilinear_forms import (AscentConfig, BallConeRegions,
                               ConstantMeasurement, EstimateForm, best_constant,
-                              eval_J, predicted_constant)
+                              eval_J)
 from .dyadic_ledger import (CASES, FeasibleInterval, InequalityCheck,
                             LedgerParams, Verdict, check_all, check_case,
                             feasible_b)
 from .nlw_solver import (CauchyData, Nonlinearity, PicardReport, SolverConfig,
                          Trajectory, duhamel_apply, energy, existence_probe,
                          free_solution, nonlinearity_eval, picard_solve,
-                         random_data, rk4_solve, strichartz_probe,
-                         wave_admissible)
+                         random_data, rk4_solve, wave_admissible)
 from .experiments import ExperimentConfig, emit_results, load_config, run_experiment

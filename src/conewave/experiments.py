@@ -20,7 +20,6 @@ import multiprocessing
 import os
 import platform
 import traceback
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -32,7 +31,7 @@ import numpy as np
 from . import __version__
 from .dyadic_ledger import feasible_b
 from .frequency_geometry import (HLH_HARD, VOLUME_CASES, VOLUME_EXPONENTS,
-                                 fit_volume_sweep, volume_point)
+                                 volume_point)
 from .nlw_solver import (DIRECTIONS, FULL_GRAD_SQUARE, NONLINEARITY_KINDS,
                          CauchyData, Nonlinearity, SolverConfig, energy,
                          picard_solve, random_data, rk4_solve,
@@ -497,6 +496,24 @@ def _run_ledger(cfg: ExperimentConfig, workers: int, out: Path):
     return files, errors
 
 
+def _fit_sweep(label: str, axis: str, sweep: list, measured: str,
+               errors: list) -> dict | None:
+    """Axis and power-law fit of one sweep's measured values against its
+    axis values, from its task results in order.  None when a task failed,
+    whose error errors already holds, or when the fit fails, which is added
+    to errors as sweep.<label>: <message>."""
+    if None in sweep:
+        return None
+    try:
+        f = fit_power_law([rec[axis] for rec in sweep],
+                          [rec[measured] for rec in sweep])
+    except ValueError as exc:
+        errors.append(f"sweep.{label}: {exc}")
+        return None
+    return {"axis": axis, "exponent": f.exponent, "intercept": f.intercept,
+            "r_squared": f.r_squared}
+
+
 def _run_volumes(cfg: ExperimentConfig, workers: int, out: Path):
     p = cfg.values["params"]
     sweeps = _parse_sweeps(cfg.values, _VOLUME_AXIS_NAMES)
@@ -508,17 +525,11 @@ def _run_volumes(cfg: ExperimentConfig, workers: int, out: Path):
     series, fits = [], []
     gathered = iter(results)
     for sweep_name, axis, values, _ in sweeps:
-        records = [rec for rec in islice(gathered, len(values)) if rec is not None]
-        series.extend(dict(rec, axis=axis) for rec in records)
-        if len(records) != len(values):
-            continue
-        try:
-            f = fit_volume_sweep(axis, records)
-        except ValueError as exc:
-            errors.append(f"sweep.{sweep_name}: {exc}")
-            continue
-        fits.append({"case": p["case"], "axis": axis, "exponent": f.exponent,
-                     "intercept": f.intercept, "r_squared": f.r_squared})
+        sweep = list(islice(gathered, len(values)))
+        series.extend(dict(rec, axis=axis) for rec in sweep if rec is not None)
+        fit = _fit_sweep(sweep_name, axis, sweep, "volume", errors)
+        if fit:
+            fits.append(dict(fit, case=p["case"]))
     keys = sorted({k for rec in series for k in rec})
     files = [emit_results(series, out / "volumes.csv", keys)]
     if fits:
@@ -571,20 +582,12 @@ def _run_constants(cfg: ExperimentConfig, workers: int, out: Path):
              emit_results(trace_rows, out / "ascent_trace.csv",
                           key + ["iteration", "value"])]
     fits = []
-    counts = Counter(task["sweep"] for task in tasks)
-    for label in sorted(counts):
-        series = [rec for rec in records if rec["sweep"] == label]
-        if len(series) != counts[label]:
-            continue
-        axis = series[0]["axis"]
-        try:
-            f = fit_power_law([rec[axis] for rec in series],
-                              [rec["measured_C"] for rec in series])
-        except ValueError as exc:
-            errors.append(f"sweep.{label}: {exc}")
-            continue
-        fits.append({"sweep": label, "axis": axis, "exponent": f.exponent,
-                     "intercept": f.intercept, "r_squared": f.r_squared})
+    axes = {task["sweep"]: task["axis"] for task in tasks}
+    for label in sorted(axes):
+        sweep = [res for task, res in zip(tasks, results) if task["sweep"] == label]
+        fit = _fit_sweep(label, axes[label], sweep, "measured_C", errors)
+        if fit:
+            fits.append(dict(fit, sweep=label))
     if fits:
         files.append(emit_results(fits, out / "constant_fits.csv",
                                   ["sweep", "axis", "exponent", "intercept",

@@ -19,7 +19,6 @@ from typing import Tuple
 import numpy as np
 
 from .spectral_grid import TWO_PI, require_dyadic
-from ._regression import PowerLawFit, fit_power_law
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +330,6 @@ def volume_case_config(case: str, **params):
     return {"region": region, "box": box, "bound": bound, "params": p}
 
 
-@dataclass(frozen=True)
-class VolumeFits:
-    """Per-axis log2-log2 exponents of measured interaction volumes."""
-
-    case: str
-    fits: dict            # axis -> PowerLawFit
-    series: tuple         # measurement records (dicts)
-
-    def exponent(self, axis: str) -> float:
-        return self.fits[axis].exponent
-
-
 def volume_point(case: str, point: dict, samples: int, seed: int) -> dict:
     """Monte Carlo interaction volume of `case` at one parameter point.
 
@@ -353,32 +340,3 @@ def volume_point(case: str, point: dict, samples: int, seed: int) -> dict:
     est = region_volume_mc(cfg["region"], cfg["box"], samples, seed)
     return dict(cfg["params"], case=case, volume=est.mean,
                 std_error=est.std_error, bound=cfg["bound"], samples=samples)
-
-
-def fit_volume_sweep(axis: str, records) -> PowerLawFit:
-    """Power-law fit of the measured volumes of one sweep against its axis."""
-    return fit_power_law(np.array([r[axis] for r in records], dtype=float),
-                         np.array([r["volume"] for r in records]))
-
-
-def volume_exponent_fit(case: str, parameter_ranges: dict, samples: int,
-                        seed: int, base: dict | None = None) -> VolumeFits:
-    """Measure interaction volumes along dyadic parameter axes and fit exponents.
-
-    Each axis in `parameter_ranges` is varied on its own, the remaining
-    parameters held at the case defaults or at the `base` overrides; ranges
-    should span at least three dyadic octaves.  Point vi of the axis_index-th
-    axis (in sorted order) is sampled with seed + 1000*axis_index + vi.  Axes
-    given a single value are reported as absent (no exponent).
-    """
-    base = dict(base or {})
-    fits = {}
-    series = []
-    for axis_index, (axis, values) in enumerate(sorted(parameter_ranges.items())):
-        records = [dict(volume_point(case, dict(base, **{axis: value}), samples,
-                                     seed + 1000 * axis_index + vi), axis=axis)
-                   for vi, value in enumerate(values)]
-        series.extend(records)
-        if len(records) >= 2:
-            fits[axis] = fit_volume_sweep(axis, records)
-    return VolumeFits(case=case, fits=fits, series=tuple(series))

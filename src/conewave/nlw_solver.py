@@ -632,12 +632,3 @@ def strichartz_summary(tasks, ratios) -> StrichartzProbe:
     slope = (fit_power_law(ms, [medians[m] for m in ms]).exponent
              if len(ms) >= 2 else 0.0)
     return StrichartzProbe(records=records, medians=medians, slope=slope)
-
-
-def strichartz_probe(ensemble_size: int, q_t: float, resolution_ladder,
-                     seed: int, nt: int = 64, s: float = 1.75) -> StrichartzProbe:
-    """Ratio trend of free solutions with rough random data across
-    resolutions, run serially; see strichartz_tasks for the data band."""
-    tasks = strichartz_tasks(ensemble_size, q_t, resolution_ladder, seed,
-                             nt=nt, s=s)
-    return strichartz_summary(tasks, [strichartz_member(**task) for task in tasks])

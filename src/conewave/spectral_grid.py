@@ -145,11 +145,10 @@ class GridSpec:
 
 
 def _as_readonly(values, shape):
-    arr = np.asarray(values, dtype=np.complex128)
+    arr = np.array(values, dtype=np.complex128)
     if arr.shape != tuple(shape):
         raise ValueError(
             f"field values have shape {arr.shape}, expected {tuple(shape)}")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 

@@ -20,8 +20,7 @@ from .frequency_geometry import (_VACUOUS_L, HLH_EASY, HLH_HARD,
                                  VOLUME_EXPONENTS, BallCone, Reflect)
 from .norms import LebesgueExponents
 from .spectral_grid import (FREQUENCY, TWO_PI, GridSpec, SpaceTimeField,
-                            flip_wrap, region_mask, require_dyadic,
-                            to_physical)
+                            flip_wrap, region_mask, to_physical)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ def _line_kernel(spec1: np.ndarray, spec2: np.ndarray, lines: _Lines,
 
 
 # ---------------------------------------------------------------------------
-# estimate forms and predictions
+# estimate forms
 # ---------------------------------------------------------------------------
 
 _FORM_CASES = {"easy": HLH_EASY, "hard": HLH_HARD}
@@ -180,28 +179,6 @@ class EstimateForm:
             "L_min": e["L1"] / r,
             "L_max": e["L2"] / r,
         }
-
-
-def predicted_constant(form: EstimateForm, N, L, r) -> float:
-    """Evaluate the estimate-form constant at a dyadic configuration.
-
-    N = (N0, N1, N2) and L = (L1, L2); exponents are exact rationals, the
-    value is the float product of the dyadic bases raised to them.
-    """
-    N0, N1, N2 = N
-    L1, L2 = L
-    for name, v in zip(("N0", "N1", "N2", "L1", "L2"), (N0, N1, N2, L1, L2)):
-        require_dyadic(name, v)
-    bases = {
-        "N_min_012": min(N0, N1, N2),
-        "N_min_12": min(N1, N2),
-        "L_min": min(L1, L2),
-        "L_max": max(L1, L2),
-    }
-    value = 1.0
-    for key, exp in form.exponents(r).items():
-        value *= float(bases[key]) ** float(exp)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +292,17 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
                 k, l = (j + 1) % 3, (j + 2) % 3
                 g = _line_kernel(spectra[k], spectra[l], slots[j], prod)
                 g *= slots[j].support
-                gmax = g.max()
-                if gmax == 0.0:
+                q = q_slot[j]
+                # f**(q-1) = g, so the norm sum of f**q is the sum of f*g
+                f = g ** (1.0 / (q - 1.0))
+                fg = np.sum(f * g)
+                if fg == 0.0:
                     dead = True
                     break
-                q = q_slot[j]
-                f = _normalize(g ** (1.0 / (q - 1.0)), q, w)
+                nrm = (fg * w) ** (1.0 / q)
+                f /= nrm
                 spectra[j] = _line_spectrum(f, slots[j], buffers[j])
-                value = float(np.sum(f * g) * w2)
+                value = float(fg * w2 / nrm)
             if dead:
                 break
             trace.append(value)
@@ -344,13 +324,19 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
 
 
 def objective_value(grid: GridSpec, fields) -> float:
-    """J of a (F0, F1, F2) value triple (arrays), for oracle comparisons."""
-    every = _Lines(np.ones(grid.shape, dtype=bool))
-    # on every line a slot's block is the lattice array itself
-    f0, f1, f2 = (np.asarray(f, dtype=float).reshape(-1, grid.nx)
-                  for f in fields)
-    spec1, spec2 = (np.empty(every.half, dtype=complex) for _ in range(2))
-    # the product overwrites the first spectrum, which nothing reads after
-    g = _line_kernel(_line_spectrum(f1, every, spec1),
-                     _line_spectrum(f2, every, spec2), every, spec1)
+    """J of a (F0, F1, F2) value triple (arrays), for oracle comparisons.
+
+    The kernel is _line_kernel's on every line, where its pruned transforms
+    are rfftn and irfftn themselves.
+    """
+    f0, f1, f2 = (np.asarray(f, dtype=float) for f in fields)
+    axes = (0, 1, 2)
+    half = (grid.nt, grid.nx, grid.nx // 2 + 1)
+    # with an out buffer rfftn runs its three stages in place, not each into
+    # a fresh array
+    prod = np.fft.rfftn(f1, axes=axes, out=np.empty(half, dtype=complex))
+    prod *= np.fft.rfftn(f2, axes=axes, out=np.empty(half, dtype=complex))
+    g = np.fft.irfftn(np.conjugate(prod, out=prod), s=grid.shape, axes=axes)
+    # rounding can leave tiny negatives on a nonnegative convolution
+    np.maximum(g, 0.0, out=g)
     return float(np.sum(f0 * g) * grid.freq_cell ** 2)

@@ -4,6 +4,7 @@ Each test prints one `[criterion N] PASS/FAIL ...` line (run with -s to see
 them all); the assertions carry the same conditions.
 """
 
+import csv
 import math
 import time
 from fractions import Fraction
@@ -17,8 +18,7 @@ from conewave import (FREQUENCY, PHYSICAL, AscentConfig, BallConeRegions,
                       critical_exponent, duhamel_apply, dyadic_restrict,
                       energy, eval_J, feasible_b, picard_solve, rk4_solve,
                       run_experiment, scaling_law_check,
-                      sobolev_correspondence, strichartz_probe,
-                      volume_exponent_fit, wave_admissible)
+                      sobolev_correspondence, wave_admissible)
 from conewave._regression import fit_power_law
 from conewave.frequency_geometry import HLH_EASY, HLH_HARD, VOLUME_EXPONENTS
 from conewave.nlw_solver import free_trajectory, random_data
@@ -80,28 +80,35 @@ def test_criterion_2_sobolev_correspondence():
 # 3. interaction-volume exponents
 # ---------------------------------------------------------------------------
 
-def test_criterion_3_volume_exponents():
-    samples = 10 ** 6
-    hard = {}
-    hard["N1"] = volume_exponent_fit(
-        HLH_HARD, {"N1": [8, 16, 32, 64]}, samples, seed=301,
-        base={"L1": 1, "L2": 1}).exponent("N1")
-    hard["L1"] = volume_exponent_fit(
-        HLH_HARD, {"L1": [1, 2, 4, 8]}, samples, seed=302,
-        base={"N1": 64, "L2": 16}).exponent("L1")
-    hard["L2"] = volume_exponent_fit(
-        HLH_HARD, {"L2": [4, 8, 16, 32]}, samples, seed=303,
-        base={"N1": 64, "L1": 2}).exponent("L2")
-    easy = {}
-    easy["N1"] = volume_exponent_fit(
-        HLH_EASY, {"N1": [8, 16, 32, 64]}, samples, seed=304,
-        base={"L1": 1}).exponent("N1")
-    easy["L1"] = volume_exponent_fit(
-        HLH_EASY, {"L1": [1, 2, 4, 8]}, samples, seed=305,
-        base={"N1": 32}).exponent("L1")
-    easy["L2"] = volume_exponent_fit(
-        HLH_EASY, {"L2": [64, 128, 256, 512]}, samples, seed=306,
-        base={"N1": 16, "L1": 2}).exponent("L2")
+def _volume_exponent(tmp_path, case, seed, sweep):
+    """Exponent of one `volumes` sweep at 1e6 samples per point, run and
+    fitted by the experiment runner (point vi samples seed + vi)."""
+    name = f"{case}_{seed}"
+    path = tmp_path / f"{name}.ini"
+    path.write_text(f"[experiment]\nkind = volumes\nseed = {seed}\n\n"
+                    f"[params]\ncase = {case}\nsamples = 1000000\n\n"
+                    f"[sweep.s]\n{sweep}\n", encoding="utf-8")
+    assert run_experiment(path, workers=2, out_dir=tmp_path / name)["complete"]
+    with open(tmp_path / name / "volume_fits.csv", encoding="utf-8") as fh:
+        (fit,) = csv.DictReader(fh)
+    return float(fit["exponent"])
+
+
+def test_criterion_3_volume_exponents(tmp_path):
+    hard = {
+        "N1": _volume_exponent(tmp_path, HLH_HARD, 301,
+                               "n1 = 8 16 32 64\nl1 = 1\nl2 = 1"),
+        "L1": _volume_exponent(tmp_path, HLH_HARD, 302,
+                               "n1 = 64\nl1 = 1 2 4 8\nl2 = 16"),
+        "L2": _volume_exponent(tmp_path, HLH_HARD, 303,
+                               "n1 = 64\nl1 = 2\nl2 = 4 8 16 32"),
+    }
+    easy = {
+        "N1": _volume_exponent(tmp_path, HLH_EASY, 304, "n1 = 8 16 32 64\nl1 = 1"),
+        "L1": _volume_exponent(tmp_path, HLH_EASY, 305, "n1 = 32\nl1 = 1 2 4 8"),
+        "L2": _volume_exponent(tmp_path, HLH_EASY, 306,
+                               "n1 = 16\nl1 = 2\nl2 = 64 128 256 512"),
+    }
     targets_hard = {k: float(VOLUME_EXPONENTS[HLH_HARD][k]) for k in hard}
     targets_easy = {k: float(VOLUME_EXPONENTS[HLH_EASY][k]) for k in easy}
     ok = all(abs(hard[k] - targets_hard[k]) <= 0.15 for k in hard)
@@ -269,13 +276,19 @@ def test_criterion_7_scaling_law():
 # 8. dispersive ratio trend and admissibility
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_strichartz_probe():
-    probe = strichartz_probe(ensemble_size=8, q_t=4.0,
-                             resolution_ladder=[32, 64, 128, 256], seed=801)
-    ok = abs(probe.slope) <= 0.1
+def test_criterion_8_strichartz_slope(tmp_path):
+    path = tmp_path / "strichartz.ini"
+    path.write_text("[experiment]\nkind = strichartz\nseed = 801\n\n"
+                    "[params]\nensemble = 8\nq_t = 4\n"
+                    "resolutions = 32 64 128 256\nnt = 64\n", encoding="utf-8")
+    assert run_experiment(path, workers=2, out_dir=tmp_path / "out")["complete"]
+    with open(tmp_path / "out" / "slope.csv", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    slope = float(row["slope"])
+    ok = abs(slope) <= 0.1
     ok &= wave_admissible(6, 6, n=2)
     ok &= not wave_admissible(4, math.inf, n=2)
-    _report(8, ok, f"median log-ratio slope {probe.slope:+.4f} within +-0.1 "
+    _report(8, ok, f"median log-ratio slope {slope:+.4f} within +-0.1 "
                    f"over the 32->256 ladder; (6,6) admissible, (4,inf) not")
 
 

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from conewave import (ConstantMeasurement, emit_results, experiments,
-                      load_config, run_experiment, volume_exponent_fit)
+                      load_config, run_experiment)
 from conewave._regression import fit_power_law
 from conewave.cli import main as cli_main
 from conewave.experiments import (ConfigError, ExperimentConfig, format_cell,
                                   resolve_workers)
-from conewave.frequency_geometry import HLH_HARD
+from conewave.frequency_geometry import HLH_HARD, volume_point
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -229,10 +229,10 @@ def test_seed_changes_output(tmp_path):
             != (tmp_path / "s10" / "volumes.csv").read_bytes())
 
 
-def test_volume_points_match_volume_exponent_fit(tmp_path):
+def test_volume_points_follow_the_sweep_seed_scheme(tmp_path):
     # the volumes kind runs one pool task per sweep point and fits each sweep
     # in the parent; sweep i (sorted by name) samples point vi with seed
-    # config seed + 1000*i + vi, as volume_exponent_fit does for one axis
+    # config seed + 1000*i + vi
     cfg = write_config(tmp_path, """
 [experiment]
 kind = volumes
@@ -264,12 +264,13 @@ l2 = 8
     sweeps = [("L1", [1, 2, 4], {"N1": 32, "L2": 8}),
               ("N1", [8, 16, 32], {"L1": 1, "L2": 1})]
     for i, (axis, values, base) in enumerate(sweeps):
-        ref = volume_exponent_fit(HLH_HARD, {axis: values}, 20000,
-                                  seed=4 + 1000 * i, base=base)
+        ref = [dict(volume_point(HLH_HARD, dict(base, **{axis: value}), 20000,
+                                 4 + 1000 * i + vi), axis=axis)
+               for vi, value in enumerate(values)]
         got = [r for r in rows if r["axis"] == axis]
         assert got == [{k: format_cell(rec.get(k, "")) for k in got[0]}
-                       for rec in ref.series]
-        f = ref.fits[axis]
+                       for rec in ref]
+        f = fit_power_law(values, [rec["volume"] for rec in ref])
         assert fits[axis] == {"case": HLH_HARD, "axis": axis,
                               "exponent": format_cell(f.exponent),
                               "intercept": format_cell(f.intercept),
@@ -739,11 +740,13 @@ l3 = 99
 
 @pytest.mark.parametrize("config, section, key, raw", [
     ("volumes_hard.ini", "sweep.l1", "l1", "2 2"),
+    ("volumes_hard.ini", "sweep.l1", "l1", "2"),
     ("constants.ini", "sweep.n1", "n1", "4 4")])
 def test_cli_rejects_repeated_sweep_value(tmp_path, capsys, config, section,
                                           key, raw):
     # a repeat made the list count as the varying axis: volumes then exited 1
-    # with a fit error, constants ran the point twice and fitted nothing
+    # with a fit error, constants ran the point twice and fitted nothing; a
+    # single value leaves the sweep without a varying axis, which has no fit
     lines = (CONFIG_DIR / config).read_text(encoding="utf-8").splitlines()
     at = lines.index(f"[{section}]")
     at += next(i for i, line in enumerate(lines[at:]) if line.startswith(f"{key} ="))
@@ -755,8 +758,12 @@ def test_cli_rejects_repeated_sweep_value(tmp_path, capsys, config, section,
     assert rc == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "config"
-    assert (record["section"], record["key"]) == (section, key)
-    assert raw in record["message"]
+    if len(raw.split()) == 1:   # the error names the section, not a key
+        assert (record["section"], record["key"]) == (section, None)
+        assert "exactly one axis may vary" in record["message"]
+    else:
+        assert (record["section"], record["key"]) == (section, key)
+        assert raw in record["message"]
 
 
 def test_cli_seed_override(tmp_path):

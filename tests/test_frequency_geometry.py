@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conewave import (AnnularCone, BallCone, Intersect, Reflect, Translate,
-                      load_config, region_volume_mc, volume_exponent_fit)
+                      load_config, region_volume_mc)
 from conewave.experiments import _VOLUME_AXIS_NAMES, _parse_sweeps
 from conewave.frequency_geometry import (_CHUNK, HLH_EASY, HLH_HARD,
-                                         VOLUME_CASES, VOLUME_EXPONENTS,
-                                         _chunk_rng, ball_cone_volume_exact,
+                                         VOLUME_CASES, _chunk_rng,
+                                         ball_cone_volume_exact,
                                          region_volume_quadrature,
                                          volume_case_config)
 from conewave._regression import fit_power_law
@@ -255,24 +255,6 @@ def test_every_volume_sweep_axis_is_a_parameter_of_every_case():
         for axis in _VOLUME_AXIS_NAMES:
             cfg = volume_case_config(case, **{axis: 4})
             assert cfg["params"][axis] == 4, (case, axis)
-
-
-def test_single_value_axis_reports_no_exponent():
-    fit = volume_exponent_fit(HLH_EASY, {"N1": [16]}, samples=2_000, seed=0)
-    assert "N1" not in fit.fits
-    assert len(fit.series) == 1
-
-
-def test_hlh_easy_lmin_exponent_quick():
-    fit = volume_exponent_fit(HLH_EASY, {"L1": [1, 2, 4, 8]},
-                              samples=200_000, seed=11)
-    assert abs(fit.exponent("L1") - VOLUME_EXPONENTS[HLH_EASY]["L1"]) <= 0.15
-
-
-def test_hlh_hard_n_exponent_quick():
-    fit = volume_exponent_fit(HLH_HARD, {"N1": [8, 16, 32, 64]},
-                              samples=200_000, seed=12)
-    assert abs(fit.exponent("N1") - VOLUME_EXPONENTS[HLH_HARD]["N1"]) <= 0.15
 
 
 def test_hlh_bound_shapes_bit_identical_to_closed_forms():

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from conewave import (FREQUENCY, GridSpec, SpaceTimeField, AscentConfig,
-                      BallConeRegions, EstimateForm, best_constant, eval_J,
-                      predicted_constant)
+                      BallConeRegions, EstimateForm, best_constant, eval_J)
 from conewave import trilinear_forms
 from conewave.frequency_geometry import HLH_EASY, HLH_HARD, VOLUME_EXPONENTS
 from conewave.spectral_grid import region_mask
@@ -40,6 +39,15 @@ def test_eval_j_single_origin_mode(grid8):
     expected = grid8.freq_cell ** 2
     assert eval_J(d, d, d, mode="direct") == pytest.approx(expected, rel=1e-13)
     assert eval_J(d, d, d, mode="fast") == pytest.approx(expected, rel=1e-12)
+
+
+def test_objective_value_matches_direct_sum(grid8):
+    # the ascent's kernel path against the literal lattice-sum oracle
+    for seed in range(3):
+        F = [_nonneg_field(grid8, 10 * seed + j) for j in range(3)]
+        direct = eval_J(*F, mode="direct")
+        value = objective_value(grid8, [f.values.real for f in F])
+        assert value == pytest.approx(direct.real, rel=1e-12)
 
 
 def test_eval_j_fast_vs_direct_random(grid8):
@@ -86,8 +94,6 @@ def test_estimate_form_rejects_r_outside_one_two(r):
     for kind in ("easy", "hard"):
         with pytest.raises(ValueError, match="r must lie in"):
             EstimateForm(kind).exponents(r)
-        with pytest.raises(ValueError, match="r must lie in"):
-            predicted_constant(EstimateForm(kind), (2, 2, 2), (1, 1), r)
 
 
 def test_constant_exponents_are_volume_exponents_over_r():
@@ -101,21 +107,6 @@ def test_constant_exponents_are_volume_exponents_over_r():
             assert e["N_min_012"] + e["N_min_12"] == volume["N1"] / r
             assert e["L_min"] == volume["L1"] / r
             assert e["L_max"] == volume["L2"] / r
-            C = predicted_constant(EstimateForm(kind), (16, 16, 16), (2, 8), r)
-            assert C == pytest.approx(16 ** float(volume["N1"] / r)
-                                      * 2 ** float(volume["L1"] / r)
-                                      * 8 ** float(volume["L2"] / r), rel=1e-14)
-
-
-def test_predicted_constant_values():
-    assert predicted_constant(EstimateForm("easy"), (1, 1, 1), (1, 1), 2) == 1.0
-    assert predicted_constant(EstimateForm("hard"), (1, 1, 1), (1, 1), 2) == 1.0
-    v = predicted_constant(EstimateForm("easy"), (8, 2, 8), (4, 1), 2)
-    assert v == pytest.approx(2.0 * 1.0)        # Nmin012 = 2, Lmin = 1
-    v = predicted_constant(EstimateForm("hard"), (16, 4, 16), (1, 4), 2)
-    assert v == pytest.approx(4 ** 0.5 * 4 ** 0.25 * 1 * 4 ** 0.25)
-    with pytest.raises(ValueError):
-        predicted_constant(EstimateForm("easy"), (3, 1, 1), (1, 1), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +259,7 @@ def test_best_constant_tracks_easy_shape_across_octaves():
     grid = GridSpec(nx=16, nt=16, spatial_period=2 * math.pi,
                     time_period=2 * math.pi)
     L_span = 16     # dyadic, >= twice the tau range of this lattice
+    e = EstimateForm("easy").exponents(2)
     ratios = []
     for i, N1 in enumerate((1, 2, 4)):
         regions = BallConeRegions(N=(16, N1, 4), L=(L_span, L_span),
@@ -275,8 +267,9 @@ def test_best_constant_tracks_easy_shape_across_octaves():
         m = best_constant(grid, regions.A0, regions.A1, regions.A2, 2,
                           AscentConfig(restarts=3, max_iters=60, tol=1e-8,
                                        seed=50 + i))
-        predicted = predicted_constant(EstimateForm("easy"), (16, N1, 4),
-                                       (L_span, L_span), 2)
+        # N_min_012 = N_min_12 = N1 and L_min = L_max = L_span here
+        predicted = (N1 ** float(e["N_min_012"] + e["N_min_12"])
+                     * L_span ** float(e["L_min"] + e["L_max"]))
         ratios.append(m.measured_C / predicted)
     assert max(ratios) / min(ratios) <= 2.0
 
