@@ -6,13 +6,15 @@ solution map (half-wave propagator plus a trapezoid-quadrature inhomogeneous
 term), and a classical RK4 method-of-lines oracle on the first-order system.
 Spatial derivatives are spectral throughout; quadratic products are
 de-aliased with the 2/3 rule by default.  The solvers carry every slice as a
-numpy spectrum and wrap SpatialFields only at the public boundary.
+numpy spectrum and return the stack of spectra; a Trajectory builds physical
+SpatialFields only when they are read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +22,8 @@ import numpy as np
 from .norms import LebesgueExponents, _as_fraction, _temporal_norm, fl_norm
 from ._regression import fit_power_law
 from .spectral_grid import (FREQUENCY, PHYSICAL, TWO_PI, GridSpec,
-                            SpaceTimeField, SpatialField, flip_wrap,
-                            to_frequency, to_physical)
+                            SpaceTimeField, SpatialField, _as_readonly,
+                            flip_wrap, to_frequency, to_physical)
 
 
 # ---------------------------------------------------------------------------
@@ -104,23 +106,36 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-sliced (u, du/dt) pair; slices are physical spatial fields."""
+    """Time-sliced (u, du/dt) pair, held as the read-only spectral stack
+    hats = (u-hat, u_t-hat) of shape (2, n, nx, nx).  The physical slices u
+    and u_t are built on first read by one batched inverse transform, as
+    read-only views of one array."""
 
     grid: GridSpec
     times: np.ndarray
-    u: tuple
-    u_t: tuple
+    hats: np.ndarray = field(repr=False)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (len(self.times) == len(self.u) == len(self.u_t)):
-            raise ValueError("trajectory slice counts disagree")
-        for fld in (*self.u, *self.u_t):
-            if fld.grid != self.grid:
-                raise ValueError("trajectory slices must share the grid")
+        object.__setattr__(self, "hats", _as_readonly(
+            self.hats, (2, len(self.times)) + self.grid.spatial_shape))
 
     def __len__(self):
         return len(self.times)
+
+    @cached_property
+    def _slices(self) -> tuple:
+        values = _physical(self.grid, self.hats.copy())
+        return tuple(tuple(SpatialField(self.grid, v, PHYSICAL) for v in stack)
+                     for stack in values)
+
+    @property
+    def u(self) -> tuple:
+        return self._slices[0]
+
+    @property
+    def u_t(self) -> tuple:
+        return self._slices[1]
 
 
 @dataclass(frozen=True)
@@ -154,11 +169,12 @@ def _ifft(a):
     return np.fft.ifftn(a, axes=(-2, -1), out=a)
 
 
-def _fields(grid: GridSpec, hats) -> tuple:
-    """Physical SpatialFields of the spectra (n, nx, nx); overwrites them."""
+def _physical(grid: GridSpec, hats) -> np.ndarray:
+    """Read-only physical values of the spectra (..., nx, nx); overwrites them."""
     values = _ifft(hats)
     values /= grid.spatial_transform_factor
-    return tuple(SpatialField(grid, v, PHYSICAL) for v in values)
+    values.flags.writeable = False
+    return values
 
 
 def _halfwave(k, times):
@@ -186,10 +202,10 @@ def _evolve(tables, f_hat, g_hat) -> np.ndarray:
 
 
 def _trajectory(grid: GridSpec, times, hats, **meta) -> Trajectory:
-    """Trajectory of the spectra (u-hat, u_t-hat), (2, n, nx, nx); overwrites them."""
-    fields = _fields(grid, hats.reshape((-1,) + grid.spatial_shape))
-    return Trajectory(grid=grid, times=times, u=fields[:len(times)],
-                      u_t=fields[len(times):], meta=meta)
+    """Trajectory of the spectra (u-hat, u_t-hat), (2, n, nx, nx), which it
+    freezes and keeps without a copy."""
+    hats.flags.writeable = False
+    return Trajectory(grid=grid, times=times, hats=hats, meta=meta)
 
 
 def free_solution(data: CauchyData, t: float):
@@ -245,7 +261,7 @@ def nonlinearity_eval(u: SpatialField, u_t: SpatialField, kind: Nonlinearity,
         raise ValueError("nonlinearity_eval expects physical-representation fields")
     hat = _forcing_hat(_spectral(u.grid, dealias), to_frequency(u).values,
                        to_frequency(u_t).values, kind)
-    return _fields(u.grid, hat[None])[0]
+    return SpatialField(u.grid, _physical(u.grid, hat), PHYSICAL)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +406,38 @@ def rk4_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig) -> Tra
     return _trajectory(grid, config.times, hats, unstable=unstable)
 
 
+def _plancherel_sq(grid: GridSpec, hats, weight=None) -> np.ndarray:
+    """Quadrature sum of weight |hat|^2 (weight (nx, nx), default 1) over
+    each spectrum of a stack (..., nx, nx).  einsum reads the real and
+    imaginary parts in place, so no temporary of the stack's size is made."""
+    parts = np.ascontiguousarray(hats).view(np.float64)
+    if weight is None:
+        total = np.einsum("...ij,...ij->...", parts, parts)
+    else:
+        total = np.einsum("ij,...ij,...ij->...", np.repeat(weight, 2, axis=-1),
+                          parts, parts)
+    return total * grid.spatial_freq_cell
+
+
+def plancherel_l2(grid: GridSpec, hats) -> np.ndarray:
+    """Quadrature L2 norm of each spectrum of a stack (..., nx, nx), by
+    Plancherel on the frequency cell."""
+    return np.sqrt(_plancherel_sq(grid, hats))
+
+
+def plancherel_energy(grid: GridSpec, u_hat, ut_hat) -> np.ndarray:
+    """(1/2)(|u_t|^2 + |grad u|^2) of each pair of spectra of two stacks
+    (..., nx, nx), by Plancherel: |grad u|^2 integrates as |xi|^2 |u-hat|^2."""
+    x1, x2 = grid.spatial_frequency_mesh()
+    return 0.5 * (_plancherel_sq(grid, ut_hat)
+                  + _plancherel_sq(grid, u_hat, weight=x1 ** 2 + x2 ** 2))
+
+
 def energy(u: SpatialField, u_t: SpatialField) -> float:
-    """Free-evolution conserved quantity (1/2) sum (u_t^2 + |grad u|^2) dx^2."""
-    if u.rep != PHYSICAL or u_t.rep != PHYSICAL:
-        raise ValueError("energy expects physical-representation fields")
-    deriv = _spectral(u.grid, dealias=False)[1]
-    g1, g2 = _ifft(deriv * to_frequency(u).values) / u.grid.spatial_transform_factor
-    dens = np.abs(u_t.values) ** 2 + np.abs(g1) ** 2 + np.abs(g2) ** 2
-    return 0.5 * float(np.sum(dens)) * u.grid.spatial_phys_cell
+    """Free-evolution conserved quantity (1/2) sum (|u_t|^2 + |grad u|^2) dx^2
+    of fields in either representation (plancherel_energy)."""
+    return float(plancherel_energy(u.grid, to_frequency(u).values,
+                                   to_frequency(u_t).values))
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,22 @@ class GridSpec:
         return self.spatial_phys_cell / TWO_PI
 
 
+def _frozen(arr) -> bool:
+    """True for a complex128 array that neither it nor any array it views
+    can write, with its memory owned by numpy."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == np.complex128):
+        return False
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
 def _as_readonly(values, shape):
-    arr = np.array(values, dtype=np.complex128)
+    """values as a read-only complex128 array of the given shape; a frozen
+    array is shared, anything else is copied."""
+    arr = values if _frozen(values) else np.array(values, dtype=np.complex128)
     if arr.shape != tuple(shape):
         raise ValueError(
             f"field values have shape {arr.shape}, expected {tuple(shape)}")

@@ -4,19 +4,23 @@ import math
 import multiprocessing
 import os
 import platform
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conewave import (ConstantMeasurement, emit_results, experiments,
-                      load_config, run_experiment)
+from conewave import (ConstantMeasurement, GridSpec, Nonlinearity,
+                      SolverConfig, emit_results, energy, experiments,
+                      load_config, picard_solve, random_data, rk4_solve,
+                      run_experiment)
 from conewave._regression import fit_power_law
 from conewave.cli import main as cli_main
 from conewave.experiments import (ConfigError, ExperimentConfig, format_cell,
                                   resolve_workers)
 from conewave.frequency_geometry import HLH_HARD, volume_point
+from conewave.norms import spatial_l2
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -417,6 +421,95 @@ def test_solve_experiment_smoke(tmp_path):
         range(1, int(summary["iterations"]) + 1))
     assert history[-1]["residual"] == summary["final_residual"]
     assert "residuals.csv" in {f["name"] for f in manifest["files"]}
+
+
+def physical_energy(u, u_t):
+    """(1/2) sum (|u_t|^2 + |grad u|^2) dx^2 with the gradient taken by
+    np.fft on the 2 pi torus."""
+    nx = u.grid.nx
+    k = nx * np.fft.fftfreq(nx)
+    u_hat = np.fft.fft2(u.values)
+    g1 = np.fft.ifft2(1j * k[:, None] * u_hat)
+    g2 = np.fft.ifft2(1j * k[None, :] * u_hat)
+    dens = np.abs(u_t.values) ** 2 + np.abs(g1) ** 2 + np.abs(g2) ** 2
+    return 0.5 * float(np.sum(dens)) * u.grid.spatial_phys_cell
+
+
+SOLVE_KINDS = [Nonlinearity("spatial_grad_square"), Nonlinearity("full_grad_square"),
+               Nonlinearity("deriv_of_square", "t"),
+               Nonlinearity("deriv_of_square", "x1"),
+               Nonlinearity("deriv_of_square", "x2"), Nonlinearity("none")]
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("kind", SOLVE_KINDS,
+                         ids=lambda kind: kind.direction or kind.kind)
+def test_trajectory_records_match_per_slice_norms(kind, dealias):
+    # two Picard iterations and four RK4 steps keep the two solutions apart
+    # by more than 1e-3 relative after t = 0, so that abs_diff_l2 is not a
+    # cancellation and is compared relatively like the other columns
+    grid = GridSpec(nx=16, nt=8, spatial_period=2 * math.pi,
+                    time_period=2 * math.pi)
+    data = random_data(grid, s=0.5, r=2, seed=5, band_limit=5.0).scaled(0.3)
+    cfg = SolverConfig(T=1.0, n_steps=4, picard_max=2, dealias=dealias)
+    traj, _ = picard_solve(data, kind, cfg)
+    oracle = rk4_solve(data, kind, cfg)
+    if not dealias and kind.kind == "full_grad_square":
+        assert max(np.abs(u.values.imag).max() for u in traj.u) > 1e-6
+    records = experiments._trajectory_records(traj, oracle)
+    want = {
+        "t": list(traj.times),
+        "picard_l2_u": [spatial_l2(u) for u in traj.u],
+        "picard_l2_ut": [spatial_l2(u_t) for u_t in traj.u_t],
+        "picard_energy": [energy(*pair) for pair in zip(traj.u, traj.u_t)],
+        "rk4_l2_u": [spatial_l2(u) for u in oracle.u],
+        "rk4_energy": [energy(*pair) for pair in zip(oracle.u, oracle.u_t)],
+        "abs_diff_l2": [spatial_l2(a.with_values(a.values - b.values))
+                        for a, b in zip(traj.u, oracle.u)],
+    }
+    assert len(records) == cfg.n_steps + 1
+    assert all(diff > 1e-3 * norm for diff, norm in
+               zip(want["abs_diff_l2"][1:], want["picard_l2_u"][1:]))
+    for column, values in want.items():
+        got = [rec[column] for rec in records]
+        assert all(type(x) is float for x in got)
+        np.testing.assert_allclose(got, values, rtol=1e-12, atol=0, err_msg=column)
+    for name, stack in (("picard_energy", traj), ("rk4_energy", oracle)):
+        np.testing.assert_allclose(
+            [rec[name] for rec in records],
+            [physical_energy(*pair) for pair in zip(stack.u, stack.u_t)],
+            rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_rk4_trajectory_holds_each_stack_once():
+    """On the shipped solve config the traced peak of rk4_solve, and then the
+    traced peak of the first read of its u over what is held before it,
+    each stay at or below one (2, n_steps + 1, nx, nx) complex128 stack plus
+    a margin of 128 KiB.  The solver's spectral stack is kept without a
+    copy, and the physical slices are views of the one array that the
+    batched inverse transform writes, not per-slice copies."""
+    values = load_config(CONFIG_DIR / "solve.ini").values
+    params = values["params"]
+    grid = experiments._grid_spec(values["grid"])
+    data = experiments._single_mode_data(grid, params["mode"], params["amplitude"])
+    kind = Nonlinearity(params["nonlinearity"], params["direction"])
+    cfg = SolverConfig(T=params["t_final"], n_steps=params["n_steps"],
+                       dealias=params["dealias"])
+    rk4_solve(data, kind, cfg).u      # warm every lazily built cache
+    stack = 2 * (cfg.n_steps + 1) * grid.nx ** 2 * 16
+    margin = 128 * 1024
+    tracemalloc.start()
+    try:
+        traj = rk4_solve(data, kind, cfg)
+        _, solve_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        traj.u
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solve_peak <= stack + margin
+    assert read_peak - held <= stack + margin
 
 
 def test_scaling_experiment_smoke(tmp_path):

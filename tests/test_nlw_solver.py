@@ -355,8 +355,9 @@ def test_picard_iterates_match_single_slice_map(kind, dealias, n_steps):
 
 
 def test_picard_transform_count_linear_in_steps(transform_calls, monkeypatch):
-    # the data are transformed once; an iteration is one batched inverse and
-    # one batched forward transform, and the output one batched inverse
+    # the data are transformed once and an iteration is one batched inverse
+    # and one batched forward transform; the output slices are one batched
+    # inverse, made on the first read of u or u_t and never again
     fft_calls = count_fft_calls(monkeypatch, nlw_solver)
     data = mode_data(make_grid(), amplitude=0.1)
     calls = []
@@ -364,21 +365,72 @@ def test_picard_transform_count_linear_in_steps(transform_calls, monkeypatch):
         transform_calls.clear()
         fft_calls.clear()
         cfg = SolverConfig(T=0.2, n_steps=n_steps, picard_max=1)
-        picard_solve(data, Nonlinearity("spatial_grad_square"), cfg)
+        traj, _ = picard_solve(data, Nonlinearity("spatial_grad_square"), cfg)
+        solved = list(fft_calls)
+        traj.u_t, traj.u, traj.u_t
         assert transform_calls == ["forward", "forward"]
-        calls.append(list(fft_calls))
-    assert calls[0] == calls[1] == ["ifftn", "fftn", "ifftn"]
+        calls.append((solved, list(fft_calls)))
+    assert calls[0] == calls[1] == (["ifftn", "fftn"], ["ifftn", "fftn", "ifftn"])
 
 
 def test_rk4_transform_count(transform_calls, monkeypatch):
     # the data are transformed once, each right-hand side is one batched
-    # inverse and one forward transform, the output one batched inverse
+    # inverse and one forward transform; reading u or u_t first makes the
+    # one batched output inverse
     fft_calls = count_fft_calls(monkeypatch, nlw_solver)
     data = mode_data(make_grid(), amplitude=0.1)
     cfg = SolverConfig(T=0.2, n_steps=16)
-    rk4_solve(data, Nonlinearity("full_grad_square"), cfg)
+    traj = rk4_solve(data, Nonlinearity("full_grad_square"), cfg)
+    steps = ["ifftn", "fftn"] * 4 * cfg.n_steps
+    assert fft_calls == steps
+    traj.u, traj.u_t, traj.u
     assert transform_calls == ["forward", "forward"]
-    assert fft_calls == ["ifftn", "fftn"] * 4 * cfg.n_steps + ["ifftn"]
+    assert fft_calls == steps + ["ifftn"]
+
+
+def test_existence_probe_transform_count(transform_calls, monkeypatch):
+    # every solve transforms its scaled data, then only iterates: the probe
+    # reads no slice, so no output transform is made
+    fft_calls = count_fft_calls(monkeypatch, nlw_solver)
+    data = mode_data(make_grid(), amplitude=0.1)
+    cfg = SolverConfig(T=0.2, n_steps=16, picard_tol=1e-10, picard_max=20)
+    probe = existence_probe(data, Nonlinearity("full_grad_square"), cfg,
+                            [0.1, 0.2, 0.4])
+    assert all(rec["converged"] for rec in probe.records)
+    iterations = sum(rec["iterations"] for rec in probe.records)
+    assert fft_calls == ["ifftn", "fftn"] * iterations
+    assert transform_calls == ["forward", "forward"] * len(probe.records)
+
+
+def eager_slices(grid, hats):
+    """The eager output path the solvers used to take: the (2, n, nx, nx)
+    spectra inverse transformed in place as one (2n, nx, nx) batch, divided
+    by the transform factor and copied into one SpatialField per slice."""
+    flat = np.array(hats).reshape((-1,) + grid.spatial_shape)
+    values = np.fft.ifftn(flat, axes=(-2, -1), out=flat)
+    values /= grid.spatial_transform_factor
+    fields = [SpatialField(grid, v, PHYSICAL) for v in values]
+    return fields[:hats.shape[1]], fields[hats.shape[1]:]
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("solver", ["picard", "rk4"])
+def test_lazy_slices_equal_eager_path_and_share_one_array(solver, dealias):
+    grid = make_grid(nx=16)
+    data = random_data(grid, s=1.75, r=2, seed=7, band_limit=5.0).scaled(0.3)
+    cfg = SolverConfig(T=0.5, n_steps=12, picard_max=3, dealias=dealias)
+    kind = Nonlinearity("full_grad_square")
+    traj = (picard_solve(data, kind, cfg)[0] if solver == "picard"
+            else rk4_solve(data, kind, cfg))
+    assert not traj.hats.flags.writeable
+    want_u, want_ut = eager_slices(grid, traj.hats)
+    for got, want in ((traj.u, want_u), (traj.u_t, want_ut)):
+        assert len(got) == len(want) == cfg.n_steps + 1
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
+    owner = traj.u[0].values.base
+    assert owner is not None and not owner.flags.writeable
+    assert all(fld.values.base is owner for fld in (*traj.u, *traj.u_t))
+    assert traj.u is traj.u and traj.u_t is traj.u_t
 
 
 def test_gradient_magnitude_transform_count(transform_calls, monkeypatch):
