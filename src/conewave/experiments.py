@@ -106,6 +106,7 @@ def _list_of(item: tuple, length=None, distinct=False) -> tuple:
 
 
 POSITIVE = ("> 0", lambda v: v > 0)
+NON_NEGATIVE = (">= 0", lambda v: v >= 0)
 AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 DYADIC = ("2**j", is_dyadic)
 GRID_SIZE = ("2**j >= 8", lambda v: is_dyadic(v) and v >= 8)
@@ -115,7 +116,7 @@ SPACING = {"d_xi": (FLOAT, 1.0, POSITIVE), "d_tau": (FLOAT, 1.0, POSITIVE)}
 
 # read by load_config into the config's kind, seed and workers
 _EXPERIMENT = {"kind": (_word(*EXPERIMENT_KINDS), REQUIRED, None),
-               "seed": (INT, REQUIRED, None),
+               "seed": (INT, REQUIRED, NON_NEGATIVE),
                "workers": (INT, None, AT_LEAST_1)}
 # [sweep.<name>] keys per kind: axis name -> key; the config key is the axis
 # name in lower case.  An absent volumes axis keeps the case's default.
@@ -707,8 +708,10 @@ def run_experiment(config, workers=None, out_dir=None, seed=None) -> dict:
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
-    if seed is not None:
-        config = replace(config, seed=int(seed))
+    if seed is not None:     # checked as [experiment] seed is
+        table = {"seed": _EXPERIMENT["seed"]}
+        config = replace(config, seed=_read_section(
+            "experiment", {"seed": str(seed)}, table)["seed"])
     config.values     # the schema pass, before any work
     # precedence: --workers flag, then CONEWAVE_WORKERS, then the config key
     if workers is None and os.environ.get(WORKERS_ENV) is None:

@@ -7,11 +7,25 @@ carry the half-space constraint +/- tau >= 0 of the upper/lower cone sheets.
 Volumes of intersections are measured by uniform sampling inside caller
 supplied axis-aligned boxes, with counter-based per-chunk random streams so
 estimates are reproducible and independent of chunking or scheduling.
+
+The sample stream: chunk c holds n <= _CHUNK points, the last chunk the
+remainder, and its coordinates are the draws of one Philox stream keyed on
+(seed, c), in the order of `_chunk_rng(seed, c).random((3, n))`: tau takes
+draws 0..n-1, xi1 draws n..2n-1 and xi2 draws 2n..3n-1, each scaled to its
+box axis as lo + (hi - lo) * u.  `region_volume_mc` reads that stream in
+blocks of _BLOCK points, so that the coordinates and the predicate's
+temporaries stay within a core's L2 cache: three generators on the chunk's
+key start at draw offsets 0, n and 2n (`_chunk_rng(seed, c, offset)`), and
+each fills its row of one preallocated (3, _BLOCK) array per block.  The
+points, and so the hit counts, are those of the whole-chunk draw bit for
+bit.  The cone predicates compute |xi| and the sheet test with in-place
+ufuncs, which give the same IEEE results as the plain expressions.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -62,8 +76,20 @@ class _Cone(Region):
 
     def _sheet(self, tau, r):
         """sign*tau >= 0 and |tau - sign*r| <= L, where r = |xi|."""
-        half = tau >= 0 if self.sign > 0 else tau <= 0
-        return half & (np.abs(tau - self.sign * r) <= self.L)
+        # tau + r is tau - (-1)*r bit for bit
+        d = (np.subtract if self.sign > 0 else np.add)(
+            tau, r, out=np.empty(np.broadcast_shapes(np.shape(tau), r.shape)))
+        inside = np.abs(d, out=d) <= self.L
+        inside &= tau >= 0 if self.sign > 0 else tau <= 0
+        return inside
+
+
+def _radius(xi1, xi2):
+    """|xi| = sqrt(xi1**2 + xi2**2) as an array of the broadcast shape."""
+    r = np.square(xi1, out=np.empty(np.broadcast_shapes(np.shape(xi1),
+                                                        np.shape(xi2))))
+    r += np.square(xi2)
+    return np.sqrt(r, out=r)
 
 
 @dataclass(frozen=True)
@@ -71,8 +97,10 @@ class BallCone(_Cone):
     """K(sign, N, L): |xi| <= N, sign*tau >= 0, |tau - sign*|xi|| <= L."""
 
     def contains(self, tau, xi1, xi2):
-        r = np.sqrt(xi1 ** 2 + xi2 ** 2)
-        return (r <= self.N) & self._sheet(tau, r)
+        r = _radius(xi1, xi2)
+        inside = self._sheet(tau, r)
+        inside &= r <= self.N
+        return inside
 
     def bounding_box(self):
         lo, hi = 0.0, self.N + self.L
@@ -85,8 +113,11 @@ class AnnularCone(_Cone):
     """K-annular: |xi| in [N, 2N), sign*tau >= 0, |tau - sign*|xi|| <= L."""
 
     def contains(self, tau, xi1, xi2):
-        r = np.sqrt(xi1 ** 2 + xi2 ** 2)
-        return (r >= self.N) & (r < 2 * self.N) & self._sheet(tau, r)
+        r = _radius(xi1, xi2)
+        inside = self._sheet(tau, r)
+        inside &= r >= self.N
+        inside &= r < 2 * self.N
+        return inside
 
     def bounding_box(self):
         lo = max(0.0, self.N - self.L)
@@ -143,7 +174,8 @@ class Intersect(Region):
         # Each later region is evaluated only on the points still inside;
         # every predicate is elementwise, so the mask equals the plain AND.
         coords = np.broadcast_arrays(tau, xi1, xi2)
-        out = np.array(self.regions[0].contains(*coords), dtype=bool)
+        out = np.require(self.regions[0].contains(*coords), dtype=bool,
+                         requirements=("C", "W"))
         flat_out = out.reshape(-1)
         flat = [c.reshape(-1) for c in coords]
         for reg in self.regions[1:]:
@@ -183,11 +215,25 @@ class VolumeEstimate:
 
 
 _CHUNK = 1 << 18
+# points per block read from a chunk's stream: the (3, _BLOCK) coordinates
+# (768 KiB) and the predicates' temporaries fit in a 4 MiB L2 cache
+_BLOCK = 1 << 15
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+def _chunk_rng(seed: int, chunk_index: int,
+               offset: int = 0) -> np.random.Generator:
+    """Generator on the Philox stream of chunk `chunk_index`, at its draw
+    `offset`.
+
+    Philox yields four draws per counter value and advances the counter
+    before each four, so draws 4k..4k+3 come from counter k + 1: starting
+    from counter offset // 4 and discarding offset % 4 draws lands on draw
+    `offset`.  One draw is one float of `Generator.random`.
+    """
     key = np.array([np.uint64(seed), np.uint64(chunk_index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    bit_generator = np.random.Philox(key=key, counter=offset // 4)
+    bit_generator.random_raw(offset % 4)
+    return np.random.Generator(bit_generator)
 
 
 def box_volume(box) -> float:
@@ -203,27 +249,31 @@ def region_volume_mc(region: Region, bounding_box, samples: int,
                      seed: int) -> VolumeEstimate:
     """Uniform-sampling volume of `region` inside `bounding_box`.
 
-    The box must enclose the region (caller contract, unchecked).  Sampling
-    is chunked with per-chunk counter-based Philox streams keyed on
-    (seed, chunk index), so the result is deterministic for a given seed and
-    independent of chunk scheduling.
+    The box, three (lo, hi) axes, must enclose the region (caller contract,
+    unchecked).  Sampling is chunked with per-chunk counter-based Philox
+    streams keyed on (seed, chunk index), so the result is deterministic for
+    a given seed and independent of chunk scheduling; each chunk is read in
+    blocks of _BLOCK points (see the module docstring for the layout).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if len(bounding_box) != 3 or any(len(axis) != 2 for axis in bounding_box):
+        raise ValueError(f"bounding box must be three (lo, hi) axes, got "
+                         f"{bounding_box!r}")
+    if (isinstance(samples, bool) or not isinstance(samples, numbers.Integral)
+            or samples < 1):
+        raise ValueError(f"samples must be an int >= 1, got {samples!r}")
     vol_box = box_volume(bounding_box)
+    pts = np.empty((3, _BLOCK))
     hits = 0
-    done = 0
-    chunk_index = 0
-    while done < samples:
+    for chunk_index, done in enumerate(range(0, samples, _CHUNK)):
         n = min(_CHUNK, samples - done)
-        rng = _chunk_rng(seed, chunk_index)
-        pts = rng.random((3, n))
-        for row, (lo, hi) in zip(pts, bounding_box):
-            row *= hi - lo
-            row += lo
-        hits += int(np.count_nonzero(region.contains(*pts)))
-        done += n
-        chunk_index += 1
+        rngs = [_chunk_rng(seed, chunk_index, axis * n) for axis in range(3)]
+        for start in range(0, n, _BLOCK):
+            block = pts[:, :min(_BLOCK, n - start)]
+            for rng, row, (lo, hi) in zip(rngs, block, bounding_box):
+                rng.random(out=row)
+                row *= hi - lo
+                row += lo
+            hits += int(np.count_nonzero(region.contains(*block)))
     p = hits / samples
     mean = vol_box * p
     if samples > 1:

@@ -660,7 +660,11 @@ def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw
     ("solve.ini", "params", "nonlinearity", "foo"),
     ("solve.ini", "params", "mode", "1"),
     ("constants.ini", "ascent", "restarts", "0"),
-    ("constants.ini", "regions", "signs", "+ + x")])
+    ("constants.ini", "regions", "signs", "+ + x"),
+    # a negative seed failed in the Philox key or default_rng, or ran
+    ("volumes_easy.ini", "experiment", "seed", "-5"),
+    ("constants.ini", "experiment", "seed", "-1"),
+    ("ledger.ini", "experiment", "seed", "-2")])
 def test_cli_rejects_bad_number_key(tmp_path, capsys, config, section,
                                     key, raw):
     text = (CONFIG_DIR / config).read_text(encoding="utf-8")
@@ -764,6 +768,18 @@ def test_cli_rejects_workers_below_one(tmp_path, capsys, monkeypatch, where,
     flag = ["--workers", value] if where == "flag" else []
     record = _cli_config_error(tmp_path, capsys, "ledger.ini", text, flag)
     assert record["key"] == "workers" and value in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config", ["volumes_easy.ini", "constants.ini",
+                                    "ledger.ini"])
+def test_cli_rejects_negative_seed_flag(tmp_path, capsys, config):
+    # --seed is checked as [experiment] seed is, before any work
+    text = (CONFIG_DIR / config).read_text(encoding="utf-8")
+    record = _cli_config_error(tmp_path, capsys, config, text,
+                               ["--seed", "-3", "--workers", "1"])
+    assert (record["section"], record["key"]) == ("experiment", "seed")
+    assert "'-3'" in record["message"]
     assert not (tmp_path / "o").exists()
 
 

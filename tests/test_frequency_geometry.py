@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from conewave import (AnnularCone, BallCone, Intersect, Reflect, Translate,
                       load_config, region_volume_mc)
 from conewave.experiments import _VOLUME_AXIS_NAMES, _parse_sweeps
-from conewave.frequency_geometry import (_CHUNK, HLH_EASY, HLH_HARD,
+from conewave.frequency_geometry import (_BLOCK, _CHUNK, HLH_EASY, HLH_HARD,
                                          VOLUME_CASES, _chunk_rng,
                                          ball_cone_volume_exact,
                                          region_volume_quadrature,
@@ -206,6 +207,72 @@ def test_mc_requires_finite_box():
     with pytest.raises(ValueError):
         region_volume_mc(BallCone(+1, 8, 2),
                          ((0.0, math.inf), (-8.0, 8.0), (-8.0, 8.0)), 100, 0)
+
+
+@pytest.mark.parametrize("box", [
+    ((0, 10), (-8, 8)),                     # xi2 was drawn in [0, 1)
+    ((0, 10), (-8, 8), (-8, 8), (0, 3)),    # a spurious fourth extent
+    ((0, 10), (-8, 8), (-8, 8, 1)),
+    ((0, 10), (-8, 8), (-8,))])
+def test_mc_rejects_box_without_three_axes(box):
+    with pytest.raises(ValueError, match="three"):
+        region_volume_mc(BallCone(+1, 8, 2), box, 1000, 0)
+
+
+@pytest.mark.parametrize("samples", [1000.0, 0, -5, "1000", True, None])
+def test_mc_rejects_samples_not_a_positive_int(samples):
+    with pytest.raises(ValueError, match="samples"):
+        region_volume_mc(BallCone(+1, 8, 2), BallCone(+1, 8, 2).bounding_box(),
+                         samples, 0)
+
+
+class _Recorder:
+    """Region that keeps a copy of every block of points it is asked about."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def contains(self, tau, xi1, xi2):
+        self.blocks.append(np.array([tau, xi1, xi2]))
+        return np.zeros(tau.shape, dtype=bool)
+
+
+@pytest.mark.parametrize("samples", [
+    1, 3, 3 * _BLOCK + 2,                   # one chunk, a partial block
+    _CHUNK + 4_096,                         # last chunk n % 4 = 0
+    2 * _CHUNK + 4_321,                     # n % 4 = 1
+    _CHUNK + _BLOCK + 6,                    # n % 4 = 2
+    _CHUNK + 7])                            # n % 4 = 3
+def test_mc_blocks_read_the_whole_chunk_draws(samples):
+    # over the unit box the sampled points are the draws themselves; the
+    # blocks, concatenated, must be chunk c's random((3, n)) bit for bit
+    rec = _Recorder()
+    est = region_volume_mc(rec, ((0.0, 1.0),) * 3, samples, seed=31)
+    assert est.hits == 0
+    assert all(b.shape[1] <= _BLOCK for b in rec.blocks)
+    got = np.concatenate(rec.blocks, axis=1)
+    sizes = [min(_CHUNK, samples - done) for done in range(0, samples, _CHUNK)]
+    want = np.concatenate([_chunk_rng(31, c).random((3, n))
+                           for c, n in enumerate(sizes)], axis=1)
+    assert got.shape == want.shape == (3, samples)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_mc_working_set_stays_within_a_few_blocks():
+    """The tracemalloc peak of one 2**20-sample region_volume_mc call on
+    HLH_hard stays below 4 x the coordinate bytes of one block,
+    4 x 3 x _BLOCK x 8 B (3 MiB at 2**15 points); the coordinates of one
+    whole chunk alone are 6 MiB."""
+    cfg = volume_case_config(HLH_HARD)
+    region_volume_mc(cfg["region"], cfg["box"], 1000, seed=4)    # warm up
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        region_volume_mc(cfg["region"], cfg["box"], 1 << 20, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 4 * 3 * _BLOCK * 8
 
 
 # ---------------------------------------------------------------------------
