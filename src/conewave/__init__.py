@@ -4,6 +4,18 @@ solver for quadratic-derivative wave equations on periodic 1+2D grids."""
 
 __version__ = "0.1.0"
 
+import os
+
+# The worker pool is the only parallelism: one BLAS/OpenMP thread per
+# process.  Set before numpy loads its BLAS, which reads these once; a value
+# already in the environment wins.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .spectral_grid import (FREQUENCY, PHYSICAL, GridSpec, SpaceTimeField,
                             SpatialField, dyadic_restrict, is_dyadic, transform)
 from .frequency_geometry import (AnnularCone, BallCone, Intersect, Reflect,

@@ -150,6 +150,24 @@ def _check_solve(values, cfg):
         raise ConfigError(str(exc), "params", "direction") from None
 
 
+def _volume_seed(seed: int, sweep_index: int, value_index: int) -> int:
+    """Seed of point value_index of the volumes sweep sweep_index (sweeps
+    in name order)."""
+    return seed + 1000 * sweep_index + value_index
+
+
+def _check_volumes(values, cfg):
+    # every point's seed keys a Philox stream, which takes a uint64
+    seed = values["experiment"]["seed"]
+    top = max(_volume_seed(seed, i, len(axis_values) - 1)
+              for i, (_, _, axis_values, _)
+              in enumerate(_parse_sweeps(values, _VOLUME_AXIS_NAMES)))
+    if top >= 2 ** 64:
+        raise ConfigError(f"must be <= {seed + 2 ** 64 - 1 - top} so that every "
+                          f"sweep point's seed (seed + 1000 i + v) fits in "
+                          f"uint64, got {seed!r}", "experiment", "seed")
+
+
 def _check_scaling(values, cfg):
     p = values["params"]
     if len(p["s"]) != len(p["r"]):
@@ -177,7 +195,8 @@ SCHEMAS = {
         "s_offsets": (_list_of(RATIONAL), None, None)}}, None, _check_ledger),
     "volumes": ({"params": {
         "case": (_word(*VOLUME_CASES), REQUIRED, None),
-        "samples": (INT, 10 ** 6, AT_LEAST_1)}}, _VOLUME_AXIS_NAMES, None),
+        "samples": (INT, 10 ** 6, AT_LEAST_1)}}, _VOLUME_AXIS_NAMES,
+        _check_volumes),
     "constants": ({
         "grid": {"nx": (INT, 32, GRID_SIZE), "nt": (INT, 64, GRID_SIZE)},
         "regions": {"signs": (SIGNS, ("+", "+", "+"), None),
@@ -520,7 +539,7 @@ def _run_volumes(cfg: ExperimentConfig, workers: int, out: Path):
     p = cfg.values["params"]
     sweeps = _parse_sweeps(cfg.values, _VOLUME_AXIS_NAMES)
     tasks = [dict(case=p["case"], point=dict(base, **{axis: value}),
-                  samples=p["samples"], seed=cfg.seed + 1000 * i + vi)
+                  samples=p["samples"], seed=_volume_seed(cfg.seed, i, vi))
              for i, (_, axis, values, base) in enumerate(sweeps)
              for vi, value in enumerate(values)]
     results, errors = run_tasks(volume_point, tasks, workers)

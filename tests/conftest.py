@@ -1,5 +1,8 @@
 import inspect
 
+# conewave first: importing it pins BLAS to one thread per process (a value
+# already set wins), which only holds if it runs before numpy loads its BLAS
+import conewave  # noqa: F401  isort: skip
 import numpy as np
 import pytest
 

@@ -4,6 +4,8 @@ import math
 import multiprocessing
 import os
 import platform
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conewave
 from conewave import (ConstantMeasurement, GridSpec, Nonlinearity,
                       SolverConfig, emit_results, energy, experiments,
                       load_config, picard_solve, random_data, rk4_solve,
@@ -23,6 +26,7 @@ from conewave.frequency_geometry import HLH_HARD, volume_point
 from conewave.norms import spatial_l2
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = CONFIG_DIR.parent / "src"
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -781,6 +785,54 @@ def test_cli_rejects_negative_seed_flag(tmp_path, capsys, config):
     assert (record["section"], record["key"]) == ("experiment", "seed")
     assert "'-3'" in record["message"]
     assert not (tmp_path / "o").exists()
+
+
+UINT64_MAX = 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("where", ["config", "flag", "run_experiment"])
+def test_volumes_rejects_seed_beyond_uint64(tmp_path, capsys, where):
+    # the smoke sweep's points take seeds seed .. seed + 3; a seed whose
+    # last point passed 2**64 - 1 exited 1 with an OverflowError per task
+    seed = UINT64_MAX - 2
+    path = _volumes_smoke_config(tmp_path, seed=seed if where == "config" else 0)
+    if where == "run_experiment":
+        with pytest.raises(ConfigError) as err:
+            run_experiment(path, workers=1, out_dir=tmp_path / "o", seed=seed)
+        assert (err.value.section, err.value.key) == ("experiment", "seed")
+        message = err.value.message
+    else:
+        flag = ["--seed", str(seed)] if where == "flag" else []
+        record = _cli_config_error(tmp_path, capsys, "volumes_easy.ini",
+                                   path.read_text(encoding="utf-8"),
+                                   ["--workers", "1", *flag])
+        assert (record["section"], record["key"]) == ("experiment", "seed")
+        message = record["message"]
+    assert str(seed) in message and str(UINT64_MAX - 3) in message
+    assert not (tmp_path / "o").exists()
+
+
+def test_volumes_runs_at_the_largest_seed(tmp_path):
+    path = _volumes_smoke_config(tmp_path, seed=UINT64_MAX - 3)
+    manifest = run_experiment(path, workers=1, out_dir=tmp_path / "o")
+    assert manifest["complete"], manifest["errors"]
+    assert [f["records"] for f in manifest["files"]] == [4, 1]
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_import_pins_blas_threads_unless_set(preset, want):
+    # the worker pool is the only parallelism; a value set by the user wins
+    env = {k: v for k, v in os.environ.items()
+           if k not in conewave.THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import os, conewave; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == want
 
 
 def test_config_built_in_code_is_checked_before_any_work(tmp_path):
