@@ -24,7 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: CONEWAVE_WORKERS or "
                             "machine parallelism)")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default=None,
+                       help="output directory (default: results)")
     return parser
 
 
@@ -37,7 +38,7 @@ def main(argv=None) -> int:
                 f"config kind {config.kind!r} does not match subcommand "
                 f"{args.command!r}", section="experiment", key="kind")
         manifest = run_experiment(config, workers=args.workers,
-                                  out_dir=args.out or "results",
+                                  out_dir=args.out,
                                   seed=args.seed)
     except ConfigError as exc:
         record = {"error": "config", "message": str(exc),

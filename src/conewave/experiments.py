@@ -78,15 +78,12 @@ class ConfigError(ValueError):
 # None or a (description, test) pair, holds for the value or for each item
 # of a list; its test returns false or raises ValueError outside it.
 REQUIRED = object()
-_BOOLS = {"true": True, "yes": True, "on": True,
-          "false": False, "no": False, "off": False}
 
 INT = ("an integer", int)
 # Fraction takes integers, decimals and num/den but no nan, inf or word, and
 # float() of a value beyond the float range raises OverflowError
 FLOAT = ("a finite number", lambda raw: float(Fraction(raw)))
 RATIONAL = ("a rational", Fraction)
-BOOL = ("a boolean", lambda raw: _BOOLS[raw.lower()])
 
 
 def _word(*words) -> tuple:
@@ -215,8 +212,7 @@ SCHEMAS = {
             "t_final": (FLOAT, 0.1, POSITIVE),
             "n_steps": (INT, 64, (">= 2", lambda n: n >= 2)),
             "picard_tol": (FLOAT, 1e-10, POSITIVE),
-            "picard_max": (INT, 30, AT_LEAST_1),
-            "dealias": (BOOL, True, None)}}, None, _check_solve),
+            "picard_max": (INT, 30, AT_LEAST_1)}}, None, _check_solve),
     "scaling": ({
         "grid": {"nx": (INT, 32, GRID_SIZE), "nt": (INT, 8, GRID_SIZE), **SPACING},
         "params": {"s": (_list_of(RATIONAL), REQUIRED, None),
@@ -292,7 +288,6 @@ class ExperimentConfig:
     sections: dict                  # section -> {key: raw string}
     path: str | None = None
     workers: int | None = None
-    out_dir: str = "results"
 
     def section(self, name) -> dict:
         return self.sections.get(name, {})
@@ -652,7 +647,7 @@ def _run_solve(cfg: ExperimentConfig, workers: int, out: Path):
     kind = Nonlinearity(p["nonlinearity"], p["direction"])
     solver_cfg = SolverConfig(T=p["t_final"], n_steps=p["n_steps"],
                               picard_tol=p["picard_tol"],
-                              picard_max=p["picard_max"], dealias=p["dealias"])
+                              picard_max=p["picard_max"])
     data = _single_mode_data(grid, p["mode"], p["amplitude"])
     traj, report = picard_solve(data, kind, solver_cfg)
     oracle = rk4_solve(data, kind, solver_cfg)
@@ -721,9 +716,9 @@ _RUNNERS = {
 def run_experiment(config, workers=None, out_dir=None, seed=None) -> dict:
     """Run one configured experiment; returns the manifest dictionary.
 
-    Writes one CSV per result table plus manifest.json in the output
-    directory.  Worker failures preserve partial results and mark the
-    manifest incomplete.
+    Writes one CSV per result table plus manifest.json in out_dir
+    (default results).  Worker failures preserve partial results and mark
+    the manifest incomplete.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
@@ -736,7 +731,7 @@ def run_experiment(config, workers=None, out_dir=None, seed=None) -> dict:
     if workers is None and os.environ.get(WORKERS_ENV) is None:
         workers = config.workers
     workers = resolve_workers(workers)
-    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out = Path(out_dir if out_dir is not None else "results")
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     errors = []

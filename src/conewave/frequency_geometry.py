@@ -56,10 +56,6 @@ class Region:
         return bool(np.asarray(self.contains(np.float64(tau), np.float64(xi1),
                                              np.float64(xi2))))
 
-    def bounding_box(self):
-        """Conservative axis-aligned box ((tau_lo, tau_hi), (xi1..), (xi2..))."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class _Cone(Region):
@@ -141,10 +137,6 @@ class Translate(Region):
         t0, a0, b0 = self.X0
         return self.region.contains(tau - t0, xi1 - a0, xi2 - b0)
 
-    def bounding_box(self):
-        box = self.region.bounding_box()
-        return tuple((lo + s, hi + s) for (lo, hi), s in zip(box, self.X0))
-
 
 @dataclass(frozen=True)
 class Reflect(Region):
@@ -154,9 +146,6 @@ class Reflect(Region):
 
     def contains(self, tau, xi1, xi2):
         return self.region.contains(-tau, -xi1, -xi2)
-
-    def bounding_box(self):
-        return tuple((-hi, -lo) for (lo, hi) in self.region.bounding_box())
 
 
 @dataclass(frozen=True)
@@ -184,16 +173,6 @@ class Intersect(Region):
                 break
             flat_out[idx] = reg.contains(*(c[idx] for c in flat))
         return out
-
-    def bounding_box(self):
-        boxes = [r.bounding_box() for r in self.regions]
-        out = []
-        for axis in range(3):
-            lo = max(b[axis][0] for b in boxes)
-            hi = min(b[axis][1] for b in boxes)
-            # an empty intersection may leave lo > hi; box_volume clamps it
-            out.append((lo, hi))
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ is solved two independent ways: a fixed-point iteration on the integral
 solution map (half-wave propagator plus a trapezoid-quadrature inhomogeneous
 term), and a classical RK4 method-of-lines oracle on the first-order system.
 Spatial derivatives are spectral throughout; quadratic products are
-de-aliased with the 2/3 rule by default.  The solvers carry every slice as a
+de-aliased with the 2/3 rule.  The solvers carry every slice as a
 numpy spectrum and return the stack of spectra; a Trajectory builds physical
 SpatialFields only when they are read.
 """
@@ -84,16 +84,12 @@ class Nonlinearity:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time grid and iteration controls.  With dealias = False the
-    derivative i xi is not Hermitian on the Nyquist row and column, so real
-    data with content there give complex slices (imaginary parts near 1% of
-    the largest value for 16 x 16 random real data)."""
+    """Time grid and iteration controls."""
 
     T: float
     n_steps: int
     picard_tol: float = 1e-10
     picard_max: int = 50
-    dealias: bool = True
 
     def __post_init__(self):
         if not (self.T > 0 and self.n_steps >= 2 and self.picard_tol > 0):
@@ -153,12 +149,12 @@ class PicardReport:
 _BLOCK_POINTS = 1 << 16
 
 
-def _spectral(grid: GridSpec, dealias: bool):
-    """(keep, deriv, scale): the 2/3-rule mask or 1, (i xi1, i xi2) times keep,
+def _spectral(grid: GridSpec):
+    """(keep, deriv, scale): the 2/3-rule mask, (i xi1, i xi2) times keep,
     and keep / spatial_transform_factor, which turns the raw forward transform
     of a product of two raw inverse transforms into the forcing spectrum."""
     ok = np.abs(np.rint(grid.nx * np.fft.fftfreq(grid.nx))) <= grid.nx // 3
-    keep = np.outer(ok, ok) * 1.0 if dealias else 1.0
+    keep = np.outer(ok, ok) * 1.0
     x1, x2 = grid.spatial_frequency_mesh()
     deriv = np.stack(np.broadcast_arrays(1j * x1, 1j * x2)) * keep
     return keep, deriv, keep / grid.spatial_transform_factor
@@ -231,7 +227,7 @@ def free_trajectory(data: CauchyData, T: float, n_steps: int) -> Trajectory:
 def _forcing_hat(spectral, u_hat, ut_hat, kind: Nonlinearity):
     """Forcing spectra from spectra of u and u_t of any leading shape
     (..., nx, nx): one batched inverse and one forward transform, in place.
-    With de-aliasing the 2/3 mask truncates both inputs and the product."""
+    The 2/3 mask truncates both inputs and the product."""
     keep, deriv, scale = spectral
     if kind.kind == NO_FORCING:
         return np.zeros(u_hat.shape, dtype=np.complex128)
@@ -254,12 +250,12 @@ def _forcing_hat(spectral, u_hat, ut_hat, kind: Nonlinearity):
     return product
 
 
-def nonlinearity_eval(u: SpatialField, u_t: SpatialField, kind: Nonlinearity,
-                      dealias: bool = True) -> SpatialField:
+def nonlinearity_eval(u: SpatialField, u_t: SpatialField,
+                      kind: Nonlinearity) -> SpatialField:
     """Evaluate the quadratic forcing in physical space."""
     if u.rep != PHYSICAL or u_t.rep != PHYSICAL:
         raise ValueError("nonlinearity_eval expects physical-representation fields")
-    hat = _forcing_hat(_spectral(u.grid, dealias), to_frequency(u).values,
+    hat = _forcing_hat(_spectral(u.grid), to_frequency(u).values,
                        to_frequency(u_t).values, kind)
     return SpatialField(u.grid, _physical(u.grid, hat), PHYSICAL)
 
@@ -340,7 +336,7 @@ def picard_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig):
     """
     grid = data.grid
     times = config.times
-    spectral = _spectral(grid, config.dealias)
+    spectral = _spectral(grid)
     tables = _halfwave(grid.xi_magnitude(), times)
     f_hat, g_hat = to_frequency(data.f).values, to_frequency(data.g).values
     h = config.T / config.n_steps
@@ -381,7 +377,7 @@ def rk4_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig) -> Tra
     grid = data.grid
     x1, x2 = grid.spatial_frequency_mesh()
     lap = -(x1 ** 2 + x2 ** 2)
-    spectral = _spectral(grid, config.dealias)
+    spectral = _spectral(grid)
 
     def rhs(u_hat, v_hat):
         return v_hat, lap * u_hat + _forcing_hat(spectral, u_hat, v_hat, kind)

@@ -25,6 +25,8 @@ from conewave.experiments import (ConfigError, ExperimentConfig, format_cell,
 from conewave.frequency_geometry import HLH_HARD, volume_point
 from conewave.norms import spatial_l2
 
+from conftest import DEALIASED
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src"
 
@@ -445,21 +447,19 @@ SOLVE_KINDS = [Nonlinearity("spatial_grad_square"), Nonlinearity("full_grad_squa
                Nonlinearity("deriv_of_square", "x2"), Nonlinearity("none")]
 
 
-@pytest.mark.parametrize("dealias", [True, False])
+@DEALIASED
 @pytest.mark.parametrize("kind", SOLVE_KINDS,
                          ids=lambda kind: kind.direction or kind.kind)
-def test_trajectory_records_match_per_slice_norms(kind, dealias):
+def test_trajectory_records_match_per_slice_norms(kind, dealiased):
     # two Picard iterations and four RK4 steps keep the two solutions apart
     # by more than 1e-3 relative after t = 0, so that abs_diff_l2 is not a
     # cancellation and is compared relatively like the other columns
     grid = GridSpec(nx=16, nt=8, spatial_period=2 * math.pi,
                     time_period=2 * math.pi)
     data = random_data(grid, s=0.5, r=2, seed=5, band_limit=5.0).scaled(0.3)
-    cfg = SolverConfig(T=1.0, n_steps=4, picard_max=2, dealias=dealias)
+    cfg = SolverConfig(T=1.0, n_steps=4, picard_max=2)
     traj, _ = picard_solve(data, kind, cfg)
     oracle = rk4_solve(data, kind, cfg)
-    if not dealias and kind.kind == "full_grad_square":
-        assert max(np.abs(u.values.imag).max() for u in traj.u) > 1e-6
     records = experiments._trajectory_records(traj, oracle)
     want = {
         "t": list(traj.times),
@@ -497,8 +497,7 @@ def test_rk4_trajectory_holds_each_stack_once():
     grid = experiments._grid_spec(values["grid"])
     data = experiments._single_mode_data(grid, params["mode"], params["amplitude"])
     kind = Nonlinearity(params["nonlinearity"], params["direction"])
-    cfg = SolverConfig(T=params["t_final"], n_steps=params["n_steps"],
-                       dealias=params["dealias"])
+    cfg = SolverConfig(T=params["t_final"], n_steps=params["n_steps"])
     rk4_solve(data, kind, cfg).u      # warm every lazily built cache
     stack = 2 * (cfg.n_steps + 1) * grid.nx ** 2 * 16
     margin = 128 * 1024
@@ -576,8 +575,7 @@ def test_cli_rejects_kind_mismatch(tmp_path, capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("key, raw", [("dealias", "maybe"),
-                                      ("n_steps", "64.5"),
+@pytest.mark.parametrize("key, raw", [("n_steps", "64.5"),
                                       ("picard_max", "ten")])
 def test_cli_rejects_mistyped_solve_param(tmp_path, capsys, key, raw):
     text = (CONFIG_DIR / "solve.ini").read_text(encoding="utf-8")
@@ -740,10 +738,12 @@ def _cli_config_error(tmp_path, capsys, config, text, extra=()):
     ("ledger.ini", "sweep.r", "r = 7/4 2", None),
     ("scaling.ini", "params", "lamda = 2", "lamda"),
     ("strichartz.ini", "params", "resolution = 32 64", "resolution"),
-    ("strichartz.ini", "grid", "nx = 32", None)])
+    ("strichartz.ini", "grid", "nx = 32", None),
+    ("solve.ini", "params", "dealias = true", "dealias")])
 def test_cli_rejects_unknown_key_or_section(tmp_path, capsys, config, section,
                                             entry, key):
-    # each of these ran with exit 0, the misspelled key left at its default
+    # none of these keys or sections is in the kind's schema; each
+    # misspelling ran with exit 0, the key left at its default
     text, line = _insert_line(config, section, entry)
     record = _cli_config_error(tmp_path, capsys, config, text)
     if key is None:       # an unknown section is reported at its header
