@@ -171,9 +171,6 @@ class FeasibleInterval:
     def empty(self) -> bool:
         return self.lo is None or self.hi is None or self.lo >= self.hi
 
-    def eps_upper(self, b) -> Fraction:
-        return 1 - _as_fraction(b)
-
     def contains(self, b) -> bool:
         if self.empty:
             return False

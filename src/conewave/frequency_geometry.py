@@ -358,14 +358,3 @@ def volume_case_config(case: str, **params):
     p.update(L2=L2, N2=N2)
     return {"region": region, "box": box, "bound": bound, "params": p}
 
-
-def volume_point(case: str, point: dict, samples: int, seed: int) -> dict:
-    """Monte Carlo interaction volume of `case` at one parameter point.
-
-    The record holds the case, every derived parameter, the volume, its
-    standard error, the bound shape and the sample count.
-    """
-    cfg = volume_case_config(case, **point)
-    est = region_volume_mc(cfg["region"], cfg["box"], samples, seed)
-    return dict(cfg["params"], case=case, volume=est.mean,
-                std_error=est.std_error, bound=cfg["bound"], samples=samples)

@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from .norms import LebesgueExponents, _as_fraction, _temporal_norm, fl_norm
-from ._regression import fit_power_law
 from .spectral_grid import (FREQUENCY, PHYSICAL, TWO_PI, GridSpec,
                             SpaceTimeField, SpatialField, _as_readonly,
                             flip_wrap, to_frequency, to_physical)
@@ -654,51 +653,3 @@ def strichartz_ratio(data: CauchyData, q_t: float, s: float = 1.75) -> float:
     den = fl_norm(data.f, 2, s) + fl_norm(data.g, 2, s - 1)
     return num / den
 
-
-@dataclass(frozen=True)
-class StrichartzProbe:
-    records: tuple      # dicts: resolution, seed, ratio
-    medians: dict       # resolution -> median ratio
-    slope: float        # log2(median) per log2(resolution)
-
-
-def strichartz_tasks(ensemble_size: int, q_t: float, resolution_ladder,
-                     seed: int, nt: int = 64, s: float = 1.75) -> list:
-    """strichartz_member keyword arguments, one per (resolution, member).
-
-    The random data band is pinned at the coarsest grid's capacity and only
-    the lattice refines, so a flat trend certifies that the discrete
-    dispersive-to-data quotient is stable under resolution.
-    """
-    if q_t < 4 or math.isinf(q_t):
-        raise ValueError("q_t must be finite and >= 4")
-    band = 0.4 * min(resolution_ladder)
-    return [dict(resolution=m, seed=seed + 7919 * m + j, q_t=q_t, nt=nt, s=s,
-                 band_modes=band)
-            for m in resolution_ladder for j in range(ensemble_size)]
-
-
-def strichartz_member(resolution: int, seed: int, q_t: float, nt: int,
-                      s: float, band_modes: float) -> float:
-    """Ratio of one ensemble member: random data of this seed, band-limited
-    to band_modes lattice steps, on the resolution x resolution grid."""
-    grid = GridSpec(nx=resolution, nt=nt, spatial_period=TWO_PI, time_period=1.0)
-    data = random_data(grid, s=s, r=2, seed=seed,
-                       band_limit=grid.d_xi * band_modes)
-    return strichartz_ratio(data, q_t, s=s)
-
-
-def strichartz_summary(tasks, ratios) -> StrichartzProbe:
-    """Records, median ratio per resolution and the log-log slope of the
-    medians; a member whose ratio is None (a failed task) is left out."""
-    records = tuple({"resolution": task["resolution"], "seed": task["seed"],
-                     "ratio": ratio}
-                    for task, ratio in zip(tasks, ratios) if ratio is not None)
-    groups = {}
-    for rec in records:
-        groups.setdefault(rec["resolution"], []).append(rec["ratio"])
-    medians = {m: float(np.median(group)) for m, group in groups.items()}
-    ms = sorted(medians)
-    slope = (fit_power_law(ms, [medians[m] for m in ms]).exponent
-             if len(ms) >= 2 else 0.0)
-    return StrichartzProbe(records=records, medians=medians, slope=slope)

@@ -110,8 +110,6 @@ def test_feasible_b_special_sigmas():
     # very large sigma: the whole (1/r, 1) window
     interval = feasible_b(r, 10)
     assert interval.lo == 1 / r and interval.hi == 1
-    # eps rule
-    assert interval.eps_upper(Fraction(3, 5)) == Fraction(2, 5)
 
 
 def test_feasible_b_matches_region_boundary():

@@ -22,7 +22,8 @@ from conewave._regression import fit_power_law
 from conewave.cli import main as cli_main
 from conewave.experiments import (ConfigError, ExperimentConfig, format_cell,
                                   resolve_workers)
-from conewave.frequency_geometry import HLH_HARD, volume_point
+from conewave.frequency_geometry import (HLH_HARD, region_volume_mc,
+                                         volume_case_config)
 from conewave.norms import spatial_l2
 
 from conftest import DEALIASED
@@ -274,9 +275,14 @@ l2 = 8
     sweeps = [("L1", [1, 2, 4], {"N1": 32, "L2": 8}),
               ("N1", [8, 16, 32], {"L1": 1, "L2": 1})]
     for i, (axis, values, base) in enumerate(sweeps):
-        ref = [dict(volume_point(HLH_HARD, dict(base, **{axis: value}), 20000,
-                                 4 + 1000 * i + vi), axis=axis)
-               for vi, value in enumerate(values)]
+        ref = []
+        for vi, value in enumerate(values):
+            case = volume_case_config(HLH_HARD, **dict(base, **{axis: value}))
+            est = region_volume_mc(case["region"], case["box"], 20000,
+                                   4 + 1000 * i + vi)
+            ref.append(dict(case["params"], case=HLH_HARD, volume=est.mean,
+                            std_error=est.std_error, bound=case["bound"],
+                            samples=20000, axis=axis))
         got = [r for r in rows if r["axis"] == axis]
         assert got == [{k: format_cell(rec.get(k, "")) for k in got[0]}
                        for rec in ref]
@@ -544,6 +550,49 @@ nt = 16
     assert len(rows) == 4
     slope = list(csv.DictReader(open(tmp_path / "out" / "slope.csv")))[0]
     assert math.isfinite(float(slope["slope"]))
+
+
+# ensemble members per resolution; None marks a member that raises
+STRICHARTZ_MEMBERS = {32: [8.0, 100.0, 1.0, None], 64: [4.0, 4.0, 50.0, 1.0],
+                      128: [2.0, 0.5, 3.0, 2.0]}
+
+
+@pytest.mark.parametrize("members, medians, slope", [
+    pytest.param(STRICHARTZ_MEMBERS, {32: 8.0, 64: 4.0, 128: 2.0}, -1.0,
+                 id="three_medians"),
+    # fewer than two resolutions with a median: the slope is 0
+    pytest.param({32: STRICHARTZ_MEMBERS[32], 64: [None] * 4}, {32: 8.0}, 0.0,
+                 id="one_median")])
+def test_strichartz_rows_medians_and_slope(tmp_path, monkeypatch, members,
+                                           medians, slope):
+    # member j at resolution m has seed 3 + 7919 m + j; a failed member is
+    # left out of ratios.csv and the medians, and its error is recorded
+    def point(resolution, seed, q_t, nt, band_modes):
+        ratio = members[resolution][seed - 3 - 7919 * resolution]
+        if ratio is None:
+            raise RuntimeError(f"member {seed} failed")
+        return ratio
+
+    monkeypatch.setattr(experiments, "_strichartz_point", point)
+    path = write_config(tmp_path, "[experiment]\nkind = strichartz\nseed = 3\n"
+                        "[params]\nensemble = 4\nresolutions = "
+                        + " ".join(map(str, members)) + "\n")
+    manifest = run_experiment(path, workers=1, out_dir=tmp_path / "out")
+    assert manifest["complete"] is False
+    failed = [3 + 7919 * m + j for m, rs in members.items()
+              for j, r in enumerate(rs) if r is None]
+    assert [err.splitlines()[0] for err in manifest["errors"]] == [
+        f"RuntimeError: member {seed} failed" for seed in failed]
+    rows = list(csv.DictReader(open(tmp_path / "out" / "ratios.csv")))
+    assert [(int(r["resolution"]), int(r["seed"]), float(r["ratio"]))
+            for r in rows] == [
+        (m, 3 + 7919 * m + j, r) for m, rs in members.items()
+        for j, r in enumerate(rs) if r is not None]
+    got = {int(r["resolution"]): float(r["median_ratio"])
+           for r in csv.DictReader(open(tmp_path / "out" / "medians.csv"))}
+    assert got == medians
+    (row,) = csv.DictReader(open(tmp_path / "out" / "slope.csv"))
+    assert float(row["slope"]) == pytest.approx(slope, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -973,7 +1022,7 @@ def test_worker_failure_marks_incomplete(tmp_path, capsys, monkeypatch):
     def fail(**kwargs):
         raise RuntimeError("task failed")
 
-    monkeypatch.setattr(experiments, "volume_point", fail)
+    monkeypatch.setattr(experiments, "_volume_point", fail)
     path = write_config(tmp_path, """
 [experiment]
 kind = volumes

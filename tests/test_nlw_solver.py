@@ -11,7 +11,7 @@ from conewave import (FREQUENCY, PHYSICAL, CauchyData, GridSpec, Nonlinearity,
 from conewave import nlw_solver, spectral_grid
 from conewave.nlw_solver import (_duhamel_data, _evolve, _halfwave,
                                   free_trajectory, gradient_magnitude_trajectory,
-                                  strichartz_ratio, strichartz_summary)
+                                  strichartz_ratio)
 from conewave.norms import fl_norm, spatial_l2
 from conewave.spectral_grid import to_frequency, to_physical
 
@@ -271,27 +271,6 @@ def test_duhamel_zero_forcing():
     assert np.abs(out0.values).max() == 0.0
 
 
-def test_duhamel_constant_mode_closed_form_and_order():
-    # F(t, x) = cos(k . x) constant in t: the integral has the closed form
-    # (1 - cos(t |k|)) / |k|^2; trapezoid error decays at O(dt^2)
-    k = (2, 1)
-    omega = math.sqrt(5.0)
-    errors = []
-    for n_steps in (16, 32, 64):
-        grid = make_grid(nx=16)
-        x = grid.x_axis
-        x1, x2 = np.meshgrid(x, x, indexing="ij")
-        F = SpatialField(grid, np.cos(k[0] * x1 + k[1] * x2), PHYSICAL)
-        times = 1.0 * np.arange(n_steps + 1) / n_steps
-        forces = [F] * (n_steps + 1)
-        out = duhamel_apply(times, forces, n_steps)
-        expected = (1 - math.cos(1.0 * omega)) / omega ** 2 * np.cos(
-            k[0] * x1 + k[1] * x2)
-        errors.append(np.abs(out.values - expected).max())
-    assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.2)
-    assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.2)
-
-
 @pytest.mark.parametrize("n_steps", [7, 24])
 def test_duhamel_sweep_matches_single_slice_reference(n_steps):
     # time-varying random forces with a nonzero, time-dependent mean, so the
@@ -521,22 +500,6 @@ def test_rk4_linear_matches_free_solution():
     traj = rk4_solve(data, Nonlinearity("none"), cfg)
     u_free, _ = free_solution(data, 1.0)
     assert rel_l2(traj.u[-1], u_free) <= 1e-8
-
-
-def test_rk4_self_convergence_fourth_order():
-    grid = make_grid(nx=16)
-    data = mode_data(grid, amplitude=0.05)
-    kind = Nonlinearity("full_grad_square")
-    finals = {}
-    for n_steps in (16, 32, 64, 128):
-        cfg = SolverConfig(T=0.5, n_steps=n_steps, picard_tol=1e-10,
-                           picard_max=5)
-        finals[n_steps] = rk4_solve(data, kind, cfg).u[-1]
-    e1 = spatial_l2(finals[16].with_values(finals[16].values - finals[32].values))
-    e2 = spatial_l2(finals[32].with_values(finals[32].values - finals[64].values))
-    e3 = spatial_l2(finals[64].with_values(finals[64].values - finals[128].values))
-    assert e1 / e2 == pytest.approx(16.0, rel=0.2)
-    assert e2 / e3 == pytest.approx(16.0, rel=0.2)
 
 
 def test_rk4_zero_data_stays_zero():
@@ -835,20 +798,3 @@ def test_strichartz_ratio_plane_wave_constant_across_resolutions():
         g = SpatialField(grid, np.zeros(grid.spatial_shape), PHYSICAL)
         ratios.append(strichartz_ratio(CauchyData(f, g), q_t=4.0))
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
-
-
-def test_strichartz_summary_slope_of_medians():
-    # medians 8, 4 and 2 at resolutions 32, 64 and 128: slope -1; a failed
-    # member (None) is left out of the records and the medians
-    members = {32: [8.0, 100.0, 1.0, None], 64: [4.0, 4.0, 50.0],
-               128: [2.0, 0.5, 3.0]}
-    tasks = [{"resolution": m, "seed": i} for m, rs in members.items()
-             for i in range(len(rs))]
-    ratios = [r for rs in members.values() for r in rs]
-    probe = strichartz_summary(tasks, ratios)
-    assert len(probe.records) == 9
-    assert probe.medians == {32: 8.0, 64: 4.0, 128: 2.0}
-    assert probe.slope == pytest.approx(-1.0, abs=1e-12)
-    # fewer than two resolutions with a median: the slope is 0
-    one = strichartz_summary(tasks[:4] + tasks[4:7], ratios[:4] + [None] * 3)
-    assert one.medians == {32: 8.0} and one.slope == 0.0
