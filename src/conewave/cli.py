@@ -22,8 +22,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: CONEWAVE_WORKERS or "
-                            "machine parallelism)")
+                       help="worker processes, >= 1 (default: the CPUs this "
+                            "process may run on)")
         p.add_argument("--out", default=None,
                        help="output directory (default: results)")
     return parser

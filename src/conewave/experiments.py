@@ -44,8 +44,6 @@ from .trilinear_forms import AscentConfig, BallConeRegions, best_constant
 EXPERIMENT_KINDS = ("volumes", "constants", "ledger", "solve", "scaling",
                     "strichartz")
 
-WORKERS_ENV = "CONEWAVE_WORKERS"
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; carries the offending key location."""
@@ -107,12 +105,10 @@ DYADIC = ("2**j", is_dyadic)
 GRID_SIZE = ("2**j >= 8", lambda v: is_dyadic(v) and v >= 8)
 LEBESGUE = ("in (1, 2]", LebesgueExponents)
 SIGNS = _list_of(_word("+", "-"), length=3)
-SPACING = {"d_xi": (FLOAT, 1.0, POSITIVE)}
 
-# read by load_config into the config's kind, seed and workers
+# read by load_config into the config's kind and seed
 _EXPERIMENT = {"kind": (_word(*EXPERIMENT_KINDS), REQUIRED, None),
-               "seed": (INT, REQUIRED, NON_NEGATIVE),
-               "workers": (INT, None, AT_LEAST_1)}
+               "seed": (INT, REQUIRED, NON_NEGATIVE)}
 # [sweep.<name>] keys per kind: axis name -> key; the config key is the axis
 # name in lower case.  An absent volumes axis keeps the case's default.
 _VOLUME_AXIS_NAMES = dict.fromkeys(
@@ -167,11 +163,10 @@ def _check_scaling(values, cfg):
     p = values["params"]
     if len(p["s"]) != len(p["r"]):
         raise ConfigError("s and r lists must zip", "params", "r")
-    grid = values["grid"]
-    d_xi = _grid_spec(grid).d_xi
-    nyquist = d_xi * (grid["nx"] // 2)     # random_data's bound
+    nx = values["grid"]["nx"]
+    nyquist = float(nx // 2)     # random_data's bound
     if p["band_limit"] is None:     # a quarter of the Nyquist band
-        p["band_limit"] = d_xi * (grid["nx"] // 4)
+        p["band_limit"] = float(nx // 4)
     elif p["band_limit"] >= nyquist:
         raise ConfigError(f"must lie below Nyquist {nyquist}, got "
                           f"{cfg.section('params')['band_limit']!r}",
@@ -182,12 +177,13 @@ def _check_scaling(values, cfg):
 # or None, a check of rules across keys or None)
 SCHEMAS = {
     "ledger": ({"params": {
-        "r": (_list_of(RATIONAL), None, LEBESGUE),
+        "r": (_list_of(RATIONAL, distinct=True), None, LEBESGUE),
         "r_min": (RATIONAL, Fraction(3, 2), ("in [1, 2]", lambda r: 1 <= r <= 2)),
         "r_max": (RATIONAL, Fraction(2), LEBESGUE),
         "r_count": (INT, 50, AT_LEAST_1),
-        "s": (_list_of(RATIONAL), None, None),
-        "s_offsets": (_list_of(RATIONAL), None, None)}}, None, _check_ledger),
+        "s": (_list_of(RATIONAL, distinct=True), None, None),
+        "s_offsets": (_list_of(RATIONAL, distinct=True), None, None)}},
+        None, _check_ledger),
     "volumes": ({"params": {
         "case": (_word(*VOLUME_CASES), REQUIRED, None),
         "samples": (INT, 10 ** 6, AT_LEAST_1)}}, _VOLUME_AXIS_NAMES,
@@ -201,7 +197,7 @@ SCHEMAS = {
                    "max_iters": (INT, 60, AT_LEAST_1),
                    "tol": (FLOAT, 1e-7, POSITIVE)}}, _CONSTANT_AXIS_NAMES, None),
     "solve": ({
-        "grid": {"nx": (INT, 16, GRID_SIZE), "nt": (INT, 8, GRID_SIZE), **SPACING},
+        "grid": {"nx": (INT, 16, GRID_SIZE), "nt": (INT, 8, GRID_SIZE)},
         "params": {
             "nonlinearity": (_word(*NONLINEARITY_KINDS), FULL_GRAD_SQUARE, None),
             "direction": (_word(*DIRECTIONS), None, None),
@@ -212,16 +208,17 @@ SCHEMAS = {
             "picard_tol": (FLOAT, 1e-10, POSITIVE),
             "picard_max": (INT, 30, AT_LEAST_1)}}, None, _check_solve),
     "scaling": ({
-        "grid": {"nx": (INT, 32, GRID_SIZE), "nt": (INT, 8, GRID_SIZE), **SPACING},
+        "grid": {"nx": (INT, 32, GRID_SIZE), "nt": (INT, 8, GRID_SIZE)},
         "params": {"s": (_list_of(RATIONAL), REQUIRED, None),
                    "r": (_list_of(RATIONAL), REQUIRED, LEBESGUE),
-                   "lambda": (_list_of(INT), (2, 4), DYADIC),
-                   # unset: d_xi * (nx // 4), see _check_scaling
+                   "lambda": (_list_of(INT, distinct=True), (2, 4), DYADIC),
+                   # unset: nx // 4, see _check_scaling
                    "band_limit": (FLOAT, None, POSITIVE)}}, None, _check_scaling),
     "strichartz": ({"params": {
         "ensemble": (INT, 8, AT_LEAST_1),
         "q_t": (FLOAT, 4.0, (">= 4", lambda q: q >= 4)),
-        "resolutions": (_list_of(INT), (32, 64, 128, 256), GRID_SIZE),
+        "resolutions": (_list_of(INT, distinct=True), (32, 64, 128, 256),
+                        GRID_SIZE),
         "nt": (INT, 64, GRID_SIZE)}}, None, None),
 }
 
@@ -285,7 +282,6 @@ class ExperimentConfig:
     seed: int
     sections: dict                  # section -> {key: raw string}
     path: str | None = None
-    workers: int | None = None
 
     def section(self, name) -> dict:
         return self.sections.get(name, {})
@@ -353,16 +349,12 @@ def load_config(path) -> ExperimentConfig:
 
 
 def resolve_workers(flag_value=None) -> int:
-    """--workers flag beats CONEWAVE_WORKERS beats the CPUs this process may
-    run on (its affinity mask where the platform has one); the flag and the
-    variable are checked as [experiment] workers is."""
-    source = "--workers"
+    """The --workers flag, checked to be an integer >= 1, else the CPUs this
+    process may run on (its affinity mask where the platform has one)."""
     if flag_value is None:
-        source, flag_value = WORKERS_ENV, os.environ.get(WORKERS_ENV)
-        if not flag_value:
-            return _affinity_count()
-    table = {"workers": _EXPERIMENT["workers"]}
-    return _read_section(source, {"workers": str(flag_value)}, table)["workers"]
+        return _affinity_count()
+    return _read_section("--workers", {"workers": str(flag_value)},
+                         {"workers": (INT, REQUIRED, AT_LEAST_1)})["workers"]
 
 
 def _affinity_count() -> int:
@@ -477,8 +469,8 @@ def run_tasks(fn, task_kwargs: list, workers: int):
 # ---------------------------------------------------------------------------
 
 def _grid_spec(grid: dict) -> GridSpec:
-    return GridSpec(nx=grid["nx"], nt=grid["nt"],
-                    spatial_period=TWO_PI / grid["d_xi"], time_period=TWO_PI)
+    return GridSpec(nx=grid["nx"], nt=grid["nt"], spatial_period=TWO_PI,
+                    time_period=TWO_PI)
 
 
 def _ledger_point(r, s):
@@ -758,9 +750,6 @@ def run_experiment(config, workers=None, out_dir=None, seed=None) -> dict:
         config = replace(config, seed=_read_section(
             "experiment", {"seed": str(seed)}, table)["seed"])
     config.values     # the schema pass, before any work
-    # precedence: --workers flag, then CONEWAVE_WORKERS, then the config key
-    if workers is None and os.environ.get(WORKERS_ENV) is None:
-        workers = config.workers
     workers = resolve_workers(workers)
     out = Path(out_dir if out_dir is not None else "results")
     out.mkdir(parents=True, exist_ok=True)

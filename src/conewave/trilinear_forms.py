@@ -221,7 +221,6 @@ class AscentConfig:
     max_iters: int = 100
     tol: float = 1e-8
     seed: int = 0
-    initial: tuple | None = None   # optional warm-start (F0, F1, F2) arrays
 
 
 @dataclass(frozen=True)
@@ -272,11 +271,7 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
 
     for restart in range(config.restarts):
         rng = np.random.default_rng((config.seed, restart))
-        if config.initial is not None and restart == 0:
-            starts = (np.maximum(np.asarray(init, dtype=float), 0.0)
-                      for init in config.initial)
-        else:
-            starts = (rng.random(grid.shape) for _ in slots)
+        starts = (rng.random(grid.shape) for _ in slots)
         # an update reads the other slots only through their spectra
         spectra = [_line_spectrum(_normalize(s.restrict(v), q, w), s, buf)
                    for v, s, buf, q in zip(starts, slots, buffers, q_slot)]

@@ -32,6 +32,12 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src"
 
 
+def read_csv(path):
+    """The rows of a result CSV, as dicts keyed by its header."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def write_config(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -88,7 +94,7 @@ s = 789/400
     assert cfg.kind == "ledger" and cfg.seed == 1
     manifest = run_experiment(cfg, workers=1, out_dir=tmp_path / "out")
     assert manifest["complete"]
-    rows = list(csv.DictReader(open(tmp_path / "out" / "ledger.csv")))
+    rows = read_csv(tmp_path / "out" / "ledger.csv")
     assert rows[0]["r"] == "7/4"
     assert rows[0]["s"] == "789/400"
     assert rows[0]["feasible"] == "true"
@@ -114,7 +120,7 @@ def test_csv_floats_round_trip_exactly(tmp_path):
     values = [math.pi, 1.0 / 3.0, 6.02e23, 1e-300, -0.1]
     recs = [{"x": v} for v in values]
     out = emit_results(recs, tmp_path / "f.csv")
-    rows = list(csv.DictReader(open(out)))
+    rows = read_csv(out)
     for rec, row in zip(recs, rows):
         assert float(row["x"]) == rec["x"]
 
@@ -134,7 +140,7 @@ def test_ledger_experiment_region_boundary(tmp_path):
     manifest = run_experiment(CONFIG_DIR / "ledger.ini", workers=1,
                               out_dir=tmp_path / "out")
     assert manifest["complete"]
-    rows = list(csv.DictReader(open(tmp_path / "out" / "ledger.csv")))
+    rows = read_csv(tmp_path / "out" / "ledger.csv")
     # 50 r-values, three s-offsets each
     assert len(rows) == 150
     for row in rows:
@@ -269,9 +275,9 @@ l2 = 8
     for name in ("volumes.csv", "volume_fits.csv"):
         assert ((tmp_path / "w1" / name).read_bytes()
                 == (tmp_path / "w3" / name).read_bytes())
-    rows = list(csv.DictReader(open(tmp_path / "w3" / "volumes.csv")))
+    rows = read_csv(tmp_path / "w3" / "volumes.csv")
     fits = {r["axis"]: r
-            for r in csv.DictReader(open(tmp_path / "w3" / "volume_fits.csv"))}
+            for r in read_csv(tmp_path / "w3" / "volume_fits.csv")}
     sweeps = [("L1", [1, 2, 4], {"N1": 32, "L2": 8}),
               ("N1", [8, 16, 32], {"L1": 1, "L2": 1})]
     for i, (axis, values, base) in enumerate(sweeps):
@@ -326,14 +332,14 @@ l2 = 2
 """)
     manifest = run_experiment(path, workers=2, out_dir=tmp_path / "out")
     assert manifest["complete"]
-    rows = list(csv.DictReader(open(tmp_path / "out" / "constants.csv")))
+    rows = read_csv(tmp_path / "out" / "constants.csv")
     assert len(rows) == 6        # 3 values x 2 sign patterns
     sweeps = {row["sweep"] for row in rows}
     assert sweeps == {"l1:base", "l1:alt"}
     for row in rows:
         assert float(row["measured_C"]) > 0
     # each sweep's fit is fit_power_law over its rows, to the written digit
-    fits = list(csv.DictReader(open(tmp_path / "out" / "constant_fits.csv")))
+    fits = read_csv(tmp_path / "out" / "constant_fits.csv")
     assert sorted(fit["sweep"] for fit in fits) == sorted(sweeps)
     for fit in fits:
         series = [row for row in rows if row["sweep"] == fit["sweep"]]
@@ -343,7 +349,7 @@ l2 = 2
         assert fit["exponent"] == format_cell(expected.exponent)
         assert fit["r_squared"] == format_cell(expected.r_squared)
     # the trace table holds each point's ascent, ending at its constant
-    trace = list(csv.DictReader(open(tmp_path / "out" / "ascent_trace.csv")))
+    trace = read_csv(tmp_path / "out" / "ascent_trace.csv")
     assert list(trace[0]) == ["sweep", "N0", "N1", "N2", "L1", "L2", "signs",
                               "iteration", "value"]
     key = ("sweep", "N0", "N1", "N2", "L1", "L2", "signs")
@@ -386,8 +392,8 @@ def test_constants_two_point_sweep_writes_its_fit(tmp_path):
     path = write_config(tmp_path, _TWO_POINT_CONSTANTS)
     assert cli_main(["constants", "--config", str(path), "--workers", "1",
                      "--out", str(tmp_path / "out")]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "out" / "constants.csv")))
-    fits = list(csv.DictReader(open(tmp_path / "out" / "constant_fits.csv")))
+    rows = read_csv(tmp_path / "out" / "constants.csv")
+    fits = read_csv(tmp_path / "out" / "constant_fits.csv")
     assert [fit["sweep"] for fit in fits] == ["l1:alt", "l1:base"]
     for fit in fits:
         series = [row for row in rows if row["sweep"] == fit["sweep"]]
@@ -414,7 +420,7 @@ def test_constants_failed_fit_is_named_in_errors(tmp_path, capsys,
     assert manifest["errors"] == [f"sweep.l1:alt: {message}",
                                   f"sweep.l1:base: {message}"]
     assert json.loads(capsys.readouterr().err)["errors"] == manifest["errors"]
-    rows = list(csv.DictReader(open(tmp_path / "out" / "constants.csv")))
+    rows = read_csv(tmp_path / "out" / "constants.csv")
     assert len(rows) == 4
     assert not (tmp_path / "out" / "constant_fits.csv").exists()
 
@@ -423,12 +429,12 @@ def test_solve_experiment_smoke(tmp_path):
     manifest = run_experiment(CONFIG_DIR / "solve.ini", workers=1,
                               out_dir=tmp_path / "out")
     assert manifest["complete"]
-    rows = list(csv.DictReader(open(tmp_path / "out" / "trajectory.csv")))
+    rows = read_csv(tmp_path / "out" / "trajectory.csv")
     assert len(rows) == 65
     assert float(rows[0]["abs_diff_l2"]) < 1e-12
-    summary = list(csv.DictReader(open(tmp_path / "out" / "summary.csv")))[0]
+    summary = read_csv(tmp_path / "out" / "summary.csv")[0]
     assert summary["converged"] == "true"
-    history = list(csv.DictReader(open(tmp_path / "out" / "residuals.csv")))
+    history = read_csv(tmp_path / "out" / "residuals.csv")
     assert [int(r["iteration"]) for r in history] == list(
         range(1, int(summary["iterations"]) + 1))
     assert history[-1]["residual"] == summary["final_residual"]
@@ -525,7 +531,7 @@ def test_scaling_experiment_smoke(tmp_path):
     manifest = run_experiment(CONFIG_DIR / "scaling.ini", workers=1,
                               out_dir=tmp_path / "out")
     assert manifest["complete"]
-    rows = list(csv.DictReader(open(tmp_path / "out" / "scaling.csv")))
+    rows = read_csv(tmp_path / "out" / "scaling.csv")
     assert len(rows) == 4
     for row in rows:
         assert row["aliased"] == "false"
@@ -546,9 +552,9 @@ nt = 16
 """)
     manifest = run_experiment(path, workers=1, out_dir=tmp_path / "out")
     assert manifest["complete"]
-    rows = list(csv.DictReader(open(tmp_path / "out" / "ratios.csv")))
+    rows = read_csv(tmp_path / "out" / "ratios.csv")
     assert len(rows) == 4
-    slope = list(csv.DictReader(open(tmp_path / "out" / "slope.csv")))[0]
+    slope = read_csv(tmp_path / "out" / "slope.csv")[0]
     assert math.isfinite(float(slope["slope"]))
 
 
@@ -583,15 +589,15 @@ def test_strichartz_rows_medians_and_slope(tmp_path, monkeypatch, members,
               for j, r in enumerate(rs) if r is None]
     assert [err.splitlines()[0] for err in manifest["errors"]] == [
         f"RuntimeError: member {seed} failed" for seed in failed]
-    rows = list(csv.DictReader(open(tmp_path / "out" / "ratios.csv")))
+    rows = read_csv(tmp_path / "out" / "ratios.csv")
     assert [(int(r["resolution"]), int(r["seed"]), float(r["ratio"]))
             for r in rows] == [
         (m, 3 + 7919 * m + j, r) for m, rs in members.items()
         for j, r in enumerate(rs) if r is not None]
     got = {int(r["resolution"]): float(r["median_ratio"])
-           for r in csv.DictReader(open(tmp_path / "out" / "medians.csv"))}
+           for r in read_csv(tmp_path / "out" / "medians.csv")}
     assert got == medians
-    (row,) = csv.DictReader(open(tmp_path / "out" / "slope.csv"))
+    (row,) = read_csv(tmp_path / "out" / "slope.csv")
     assert float(row["slope"]) == pytest.approx(slope, abs=1e-12)
 
 
@@ -642,7 +648,8 @@ def test_cli_rejects_mistyped_solve_param(tmp_path, capsys, key, raw):
 @pytest.mark.parametrize("key, raw", [("ensemble", "2.7"), ("ensemble", "0"),
                                       ("nt", "64.5"), ("q_t", "2"),
                                       ("q_t", "inf"), ("resolutions", "32.7 64"),
-                                      ("resolutions", "48 64")])
+                                      ("resolutions", "48 64"),
+                                      ("resolutions", "32 32 64")])
 def test_cli_rejects_bad_strichartz_param(tmp_path, capsys, key, raw):
     text = (CONFIG_DIR / "strichartz.ini").read_text(encoding="utf-8")
     lines = [f"{key} = {raw}" if line.startswith(f"{key} =") else line
@@ -701,6 +708,12 @@ def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw
     ("scaling.ini", "params", "band_limit", "-inf"),
     ("scaling.ini", "params", "band_limit", "100"),
     ("ledger.ini", "params", "r_min", "2"),
+    # a repeated list value wrote its rows again; r is read before the
+    # check that it is not given with r_min
+    ("ledger.ini", "params", "r", "7/4 7/4"),
+    ("ledger.ini", "params", "s", "2 2"),
+    ("ledger.ini", "params", "s_offsets", "0 0"),
+    ("scaling.ini", "params", "lambda", "2 2"),
     ("solve.ini", "params", "direction", "t"),
     ("strichartz.ini", "params", "q_t", "yes"),
     ("volumes_hard.ini", "params", "samples", "0"),
@@ -788,7 +801,10 @@ def _cli_config_error(tmp_path, capsys, config, text, extra=()):
     ("scaling.ini", "params", "lamda = 2", "lamda"),
     ("strichartz.ini", "params", "resolution = 32 64", "resolution"),
     ("strichartz.ini", "grid", "nx = 32", None),
-    ("solve.ini", "params", "dealias = true", "dealias")])
+    ("solve.ini", "params", "dealias = true", "dealias"),
+    ("ledger.ini", "experiment", "workers = 2", "workers"),
+    ("solve.ini", "grid", "d_xi = 1", "d_xi"),
+    ("scaling.ini", "grid", "d_xi = 1", "d_xi")])
 def test_cli_rejects_unknown_key_or_section(tmp_path, capsys, config, section,
                                             entry, key):
     # none of these keys or sections is in the kind's schema; each
@@ -807,20 +823,15 @@ def test_ledger_rejects_r_list_with_generated_grid(tmp_path, capsys):
     assert (record["section"], record["key"], record["line"]) == ("params", "r", line)
 
 
-@pytest.mark.parametrize("where, value", [("config", "0"), ("flag", "0"),
-                                          ("flag", "-3"), ("env", "0")])
-def test_cli_rejects_workers_below_one(tmp_path, capsys, monkeypatch, where,
-                                       value):
-    # each was clamped to one worker; the flag and the variable are checked
-    # even where the config sets a valid count
-    monkeypatch.delenv("CONEWAVE_WORKERS", raising=False)
-    entry = f"workers = {value}" if where == "config" else "workers = 2"
-    text, _ = _insert_line("ledger.ini", "experiment", entry)
-    if where == "env":
-        monkeypatch.setenv("CONEWAVE_WORKERS", value)
-    flag = ["--workers", value] if where == "flag" else []
-    record = _cli_config_error(tmp_path, capsys, "ledger.ini", text, flag)
-    assert record["key"] == "workers" and value in record["message"]
+@pytest.mark.parametrize("value", [pytest.param(v, id=f"flag-{v}")
+                                   for v in ("0", "-3")])
+def test_cli_rejects_workers_below_one(tmp_path, capsys, value):
+    # each was clamped to one worker
+    text = (CONFIG_DIR / "ledger.ini").read_text(encoding="utf-8")
+    record = _cli_config_error(tmp_path, capsys, "ledger.ini", text,
+                               ["--workers", value])
+    assert (record["section"], record["key"]) == ("--workers", "workers")
+    assert value in record["message"]
     assert not (tmp_path / "o").exists()
 
 
@@ -990,19 +1001,23 @@ def test_cli_seed_override(tmp_path):
     assert a == b != c
 
 
-def test_workers_env_and_flag_precedence(monkeypatch):
-    monkeypatch.setenv("CONEWAVE_WORKERS", "2")
-    assert resolve_workers(None) == 2
+def test_workers_env_and_flag_precedence():
     assert resolve_workers(5) == 5
-    monkeypatch.setenv("CONEWAVE_WORKERS", "nope")
-    with pytest.raises(ConfigError):
-        resolve_workers(None)
-    monkeypatch.delenv("CONEWAVE_WORKERS")
     assert resolve_workers(None) >= 1
 
 
+@pytest.mark.parametrize("value", ["0", "nope"])
+def test_workers_variable_is_not_read(tmp_path, monkeypatch, value):
+    # CONEWAVE_WORKERS once set the default count; both values exited 2
+    monkeypatch.setenv("CONEWAVE_WORKERS", value)
+    assert cli_main(["ledger", "--config", str(CONFIG_DIR / "ledger.ini"),
+                     "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["complete"]
+    assert manifest["workers"] == experiments._affinity_count()
+
+
 def test_workers_default_follows_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("CONEWAVE_WORKERS", raising=False)
     monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
                         raising=False)
@@ -1010,7 +1025,6 @@ def test_workers_default_follows_cpu_affinity(monkeypatch):
 
 
 def test_workers_default_without_affinity_uses_cpu_count(monkeypatch):
-    monkeypatch.delenv("CONEWAVE_WORKERS", raising=False)
     monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 7)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert resolve_workers(None) == 7
