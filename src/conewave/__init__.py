@@ -23,8 +23,7 @@ from .frequency_geometry import (AnnularCone, BallCone, Intersect, Reflect,
 from .norms import (LebesgueExponents, critical_exponent, fl_norm, mixed_norm,
                     scaling_law_check, sobolev_correspondence)
 from .trilinear_forms import (AscentConfig, BallConeRegions,
-                              ConstantMeasurement, EstimateForm, best_constant,
-                              eval_J)
+                              ConstantMeasurement, best_constant, eval_J)
 from .dyadic_ledger import (CASES, FeasibleInterval, InequalityCheck,
                             LedgerParams, Verdict, check_all, check_case,
                             feasible_b)

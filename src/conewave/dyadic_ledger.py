@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .frequency_geometry import HLH_EASY, HLH_HARD, hlh_exponents
 from .norms import LebesgueExponents, _as_fraction
-from .trilinear_forms import EstimateForm
 
 GLOBAL = "global"
 HLH_SMALL_L2 = "HLH_small_L2"
@@ -91,13 +91,6 @@ def _summation_checks(case_id, A, B, strict: bool):
     return checks
 
 
-def _hlh_exponents(kind, r) -> dict:
-    """EstimateForm exponents plus "total", their sum N1/r at coincident N."""
-    e = EstimateForm(kind).exponents(r)
-    e["total"] = e["N_min_012"] + e["N_min_12"]
-    return e
-
-
 def check_case(params: LedgerParams, case: str):
     """Exact inequality set for one interaction case.  Returns InequalityChecks."""
     r, sig, b, eps = params.r, params.sigma, params.b, params.eps
@@ -111,7 +104,7 @@ def check_case(params: LedgerParams, case: str):
             _check(case, "time_gain_exponent_negative", b + eps - 1, "<", 0),
         ]
     # the small-L2 cases close with the hard HLH row, large L2 with the easy one
-    hard, easy = _hlh_exponents("hard", r), _hlh_exponents("easy", r)
+    hard, easy = hlh_exponents(HLH_HARD, r), hlh_exponents(HLH_EASY, r)
     if case == HLH_SMALL_L2:
         checks = [
             _check(case, "L1_sum_converges", hard["L_min"] - b, "<", 0),
@@ -187,7 +180,7 @@ def feasible_b(r, sigma) -> FeasibleInterval:
     sigma = _as_fraction(sigma)
     if not (Fraction(3, 2) < r <= 2):
         return FeasibleInterval(lo=None, hi=None)
-    hard, easy = _hlh_exponents("hard", r), _hlh_exponents("easy", r)
+    hard, easy = hlh_exponents(HLH_HARD, r), hlh_exponents(HLH_EASY, r)
     # non-b conditions (dyadic summation in the HLH and LHH small-L2 cases)
     if not (sigma > hard["total"]):
         return FeasibleInterval(lo=None, hi=None)

@@ -1,12 +1,12 @@
 """Experiment orchestration: configs, deterministic sweeps, CSV results.
 
 Configs are flat INI files (sections of key = value pairs), checked against
-one schema per experiment kind before any work starts.  Every experiment
-is decomposed into independent seeded tasks dispatched over a worker pool;
-results are merged in task order before writing, so numeric payloads are
-byte-identical for a given (config, seed) regardless of worker count or
-scheduling.  Each run writes one CSV per result table plus a JSON manifest
-with per-file checksums.
+one schema per experiment kind before any work starts.  The volumes,
+constants, ledger and strichartz kinds run as independent seeded tasks over
+a worker pool, merged in task order; solve and scaling run in the calling
+process.  Numeric payloads are therefore byte-identical for a given
+(config, seed) regardless of worker count or scheduling.  Each run writes
+one CSV per result table plus a JSON manifest with per-file checksums.
 """
 
 from __future__ import annotations
@@ -120,17 +120,11 @@ _CONSTANT_AXIS_NAMES = dict.fromkeys(
 
 def _check_ledger(values, cfg):
     p = values["params"]
-    if p["s"] is None and p["s_offsets"] is None:
-        raise ConfigError("need s or s_offsets", "params", "s")
-    generated = ("r_min", "r_max", "r_count")
-    if p["r"] is not None:
-        if any(key in cfg.section("params") for key in generated):
-            raise ConfigError("give r or r_min, r_max and r_count, not both",
-                              "params", "r")
-        p.update(dict.fromkeys(generated))   # an explicit r list uses none
-    elif p["r_min"] >= p["r_max"]:
-        raise ConfigError(f"must lie below r_max {p['r_max']}, got "
-                          f"{cfg.section('params')['r_min']!r}", "params", "r_min")
+    if p["r_min"] >= p["r_max"]:
+        # reported at the key the file sets, r_min when it sets both
+        key = "r_min" if "r_min" in cfg.section("params") else "r_max"
+        raise ConfigError(f"r_min {p['r_min']} must lie below r_max "
+                          f"{p['r_max']}", "params", key)
 
 
 def _check_solve(values, cfg):
@@ -161,8 +155,10 @@ def _check_volumes(values, cfg):
 
 def _check_scaling(values, cfg):
     p = values["params"]
-    if len(p["s"]) != len(p["r"]):
-        raise ConfigError("s and r lists must zip", "params", "r")
+    pairs = list(zip(p["s"], p["r"]))
+    if len(p["s"]) != len(p["r"]) or len(set(pairs)) < len(pairs):
+        raise ConfigError("s and r lists must zip into distinct pairs",
+                          "params", "r")
     nx = values["grid"]["nx"]
     nyquist = float(nx // 2)     # random_data's bound
     if p["band_limit"] is None:     # a quarter of the Nyquist band
@@ -177,12 +173,10 @@ def _check_scaling(values, cfg):
 # or None, a check of rules across keys or None)
 SCHEMAS = {
     "ledger": ({"params": {
-        "r": (_list_of(RATIONAL, distinct=True), None, LEBESGUE),
         "r_min": (RATIONAL, Fraction(3, 2), ("in [1, 2]", lambda r: 1 <= r <= 2)),
         "r_max": (RATIONAL, Fraction(2), LEBESGUE),
         "r_count": (INT, 50, AT_LEAST_1),
-        "s": (_list_of(RATIONAL, distinct=True), None, None),
-        "s_offsets": (_list_of(RATIONAL, distinct=True), None, None)}},
+        "s_offsets": (_list_of(RATIONAL, distinct=True), REQUIRED, None)}},
         None, _check_ledger),
     "volumes": ({"params": {
         "case": (_word(*VOLUME_CASES), REQUIRED, None),
@@ -475,25 +469,16 @@ def _grid_spec(grid: dict) -> GridSpec:
 
 def _ledger_point(r, s):
     interval = feasible_b(r, s - 1)
-    return {
-        "r": r,
-        "s": s,
-        "feasible": not interval.empty,
-        "b_lo": interval.lo if not interval.empty else "",
-        "b_hi": interval.hi if not interval.empty else "",
-    }
+    return {"r": r, "s": s, "feasible": not interval.empty,
+            "b_lo": interval.lo, "b_hi": interval.hi}
 
 
 def _run_ledger(cfg: ExperimentConfig, workers: int, out: Path):
     p = cfg.values["params"]
-    r_values = p["r"]
-    if r_values is None:
-        step = (p["r_max"] - p["r_min"]) / p["r_count"]
-        r_values = [p["r_min"] + step * (i + 1) for i in range(p["r_count"])]
-    tasks = [dict(r=r, s=s) for r in r_values
-             for s in (p["s"] or ()) + tuple(
-                 VOLUME_EXPONENTS[HLH_HARD]["N1"] / r + 1 + off
-                 for off in p["s_offsets"] or ())]
+    step = (p["r_max"] - p["r_min"]) / p["r_count"]
+    tasks = [dict(r=r, s=VOLUME_EXPONENTS[HLH_HARD]["N1"] / r + 1 + off)
+             for r in (p["r_min"] + step * (i + 1) for i in range(p["r_count"]))
+             for off in p["s_offsets"]]
     results, errors = run_tasks(_ledger_point, tasks, workers)
     records = [r for r in results if r is not None]
     files = [emit_results(records, out / "ledger.csv",

@@ -32,6 +32,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .norms import LebesgueExponents
 from .spectral_grid import TWO_PI, require_dyadic
 
 
@@ -301,12 +302,30 @@ HLH_EASY = "HLH_easy"
 
 # Exact exponents of the HLH bound shapes N1^N1 * min(L)^L1 * max(L)^L2
 # (hard: L2 <= N1; easy: large L2).  low is the low-frequency dimension, which
-# the best-constant exponents (EstimateForm.exponents) carry through p = r'.
+# the best-constant exponents (hlh_exponents) carry through p = r'.
 VOLUME_EXPONENTS = {
     HLH_HARD: {"N1": Fraction(3, 2), "L1": 1, "L2": Fraction(1, 2), "low": 1},
     HLH_EASY: {"N1": 2, "L1": 1, "L2": 0, "low": 2},
 }
 VOLUME_CASES = tuple(VOLUME_EXPONENTS)
+
+
+def hlh_exponents(case: str, r) -> dict:
+    """Exact best-constant exponents of an HLH case at Lebesgue exponent r,
+    keyed by the dyadic base they apply to: the case's volume exponents over
+    r, the low dimension split off by p = r', and "total", N1/r, the sum of
+    the two N exponents at coincident N."""
+    lebesgue = LebesgueExponents(r)
+    r, p = lebesgue.r, lebesgue.p
+    e = VOLUME_EXPONENTS[case]
+    return {
+        "N_min_012": e["low"] / p,
+        "N_min_12": e["N1"] / r - e["low"] / p,
+        "L_min": e["L1"] / r,
+        "L_max": e["L2"] / r,
+        "total": e["N1"] / r,
+    }
+
 
 _BASE_PARAMS = {
     HLH_HARD: {"N1": 16, "L1": 2, "L2": 2},

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frequency_geometry import (_VACUOUS_L, HLH_EASY, HLH_HARD,
-                                 VOLUME_EXPONENTS, BallCone, Reflect)
+from .frequency_geometry import _VACUOUS_L, BallCone, Reflect
 from .norms import LebesgueExponents
 from .spectral_grid import (FREQUENCY, TWO_PI, GridSpec, SpaceTimeField,
                             flip_wrap, region_mask, to_physical)
@@ -148,37 +147,6 @@ def _line_kernel(spec1: np.ndarray, spec2: np.ndarray, lines: _Lines,
     # rounding can leave tiny negatives on a nonnegative convolution
     np.maximum(g, 0.0, out=g)
     return g
-
-
-# ---------------------------------------------------------------------------
-# estimate forms
-# ---------------------------------------------------------------------------
-
-_FORM_CASES = {"easy": HLH_EASY, "hard": HLH_HARD}
-
-
-@dataclass(frozen=True)
-class EstimateForm:
-    """Dyadic constant shape of a cone-restriction estimate ("easy"/"hard")."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in _FORM_CASES:
-            raise ValueError(f"kind must be 'easy' or 'hard', got {self.kind!r}")
-
-    def exponents(self, r) -> dict:
-        """Exact rational exponents keyed by the dyadic base they apply to: the
-        form's HLH volume exponents over r, the low dimension split off by p."""
-        lebesgue = LebesgueExponents(r)
-        r, p = lebesgue.r, lebesgue.p
-        e = VOLUME_EXPONENTS[_FORM_CASES[self.kind]]
-        return {
-            "N_min_012": e["low"] / p,
-            "N_min_12": e["N1"] / r - e["low"] / p,
-            "L_min": e["L1"] / r,
-            "L_max": e["L2"] / r,
-        }
 
 
 # ---------------------------------------------------------------------------

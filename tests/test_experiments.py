@@ -87,8 +87,10 @@ kind = ledger
 seed = 1
 
 [params]
-r = 7/4
-s = 789/400
+r_min = 3/2
+r_max = 7/4
+r_count = 1
+s_offsets = 323/2800
 """)
     cfg = load_config(path)
     assert cfg.kind == "ledger" and cfg.seed == 1
@@ -708,10 +710,7 @@ def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw
     ("scaling.ini", "params", "band_limit", "-inf"),
     ("scaling.ini", "params", "band_limit", "100"),
     ("ledger.ini", "params", "r_min", "2"),
-    # a repeated list value wrote its rows again; r is read before the
-    # check that it is not given with r_min
-    ("ledger.ini", "params", "r", "7/4 7/4"),
-    ("ledger.ini", "params", "s", "2 2"),
+    # a repeated list value wrote its rows again
     ("ledger.ini", "params", "s_offsets", "0 0"),
     ("scaling.ini", "params", "lambda", "2 2"),
     ("solve.ini", "params", "direction", "t"),
@@ -798,6 +797,9 @@ def _cli_config_error(tmp_path, capsys, config, text, extra=()):
     ("constants.ini", "regions", "sign = +", "sign"),       # after signs
     ("ledger.ini", "experiment", "sede = 2", "sede"),
     ("ledger.ini", "sweep.r", "r = 7/4 2", None),
+    # the r grid and s_offsets are the ledger's only points
+    ("ledger.ini", "params", "r = 7/4", "r"),
+    ("ledger.ini", "params", "s = 7/4", "s"),
     ("scaling.ini", "params", "lamda = 2", "lamda"),
     ("strichartz.ini", "params", "resolution = 32 64", "resolution"),
     ("strichartz.ini", "grid", "nx = 32", None),
@@ -816,11 +818,22 @@ def test_cli_rejects_unknown_key_or_section(tmp_path, capsys, config, section,
     assert (record["section"], record["key"], record["line"]) == (section, key, line)
 
 
-def test_ledger_rejects_r_list_with_generated_grid(tmp_path, capsys):
-    # an explicit r list used to win silently over r_min, r_max and r_count
-    text, line = _insert_line("ledger.ini", "params", "r = 7/4")
-    record = _cli_config_error(tmp_path, capsys, "ledger.ini", text)
-    assert (record["section"], record["key"], record["line"]) == ("params", "r", line)
+@pytest.mark.parametrize("config, edits, key", [
+    # r_max at or below the default r_min exited 1 with a KeyError on the
+    # r_min that the file does not set
+    ("ledger.ini", {"r_min": None, "r_max": "r_max = 3/2"}, "r_max"),
+    ("ledger.ini", {"s_offsets": None}, "s_offsets"),
+    # a repeated (s, r) pair wrote its rows twice
+    ("scaling.ini", {"s": "s = 2 2", "r": "r = 2 2"}, "r")],
+    ids=["ledger-r_max-only", "ledger-no-s_offsets", "scaling-repeated-pair"])
+def test_cli_rejects_edited_config(tmp_path, capsys, config, edits, key):
+    # shipped config lines replaced by key (None deletes the line): cases
+    # that a one-line change cannot make
+    lines = [edits.get(line.split(" =")[0], line) for line in
+             (CONFIG_DIR / config).read_text(encoding="utf-8").splitlines()]
+    text = "\n".join(line for line in lines if line is not None) + "\n"
+    record = _cli_config_error(tmp_path, capsys, config, text)
+    assert (record["section"], record["key"]) == ("params", key)
 
 
 @pytest.mark.parametrize("value", [pytest.param(v, id=f"flag-{v}")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ from conewave import (AnnularCone, BallCone, Intersect, Reflect, Translate,
                       load_config, region_volume_mc)
 from conewave.experiments import _VOLUME_AXIS_NAMES, _parse_sweeps
 from conewave.frequency_geometry import (_BLOCK, _CHUNK, HLH_EASY, HLH_HARD,
-                                         VOLUME_CASES, _chunk_rng,
-                                         ball_cone_volume_exact,
+                                         VOLUME_CASES, VOLUME_EXPONENTS,
+                                         _chunk_rng, ball_cone_volume_exact,
+                                         hlh_exponents,
                                          region_volume_quadrature,
                                          volume_case_config)
 from conewave._regression import fit_power_law
@@ -383,3 +385,40 @@ def test_case_boxes_enclose_their_regions():
         assert shell.shape[1] > 50_000
         hits = np.count_nonzero(cfg["region"].contains(*shell))
         assert hits == 0, (case, params, hits)
+
+
+# ---------------------------------------------------------------------------
+# best-constant exponents
+# ---------------------------------------------------------------------------
+
+def test_hlh_exponents_r2():
+    easy = hlh_exponents(HLH_EASY, 2)
+    assert easy["N_min_012"] == 1
+    assert easy["N_min_12"] == 0
+    assert easy["L_min"] == Fraction(1, 2)
+    hard = hlh_exponents(HLH_HARD, 2)
+    assert hard["N_min_012"] == Fraction(1, 2)
+    assert hard["N_min_12"] == Fraction(1, 4)
+    assert hard["L_min"] == Fraction(1, 2)
+    assert hard["L_max"] == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_hlh_exponents_reject_r_outside_one_two(r):
+    for case in (HLH_EASY, HLH_HARD):
+        with pytest.raises(ValueError, match="r must lie in"):
+            hlh_exponents(case, r)
+
+
+def test_constant_exponents_are_volume_exponents_over_r():
+    # Hoelder: at coincident N the constant exponents sum to the volume
+    # exponent over r, and each modulation exponent is its volume one over r
+    r_values = [Fraction(3, 2) + Fraction(i, 100) for i in range(1, 51)]
+    for r in r_values + [Fraction(9, 5), Fraction(8, 5)]:
+        for case in (HLH_HARD, HLH_EASY):
+            e = hlh_exponents(case, r)
+            volume = VOLUME_EXPONENTS[case]
+            assert e["N_min_012"] + e["N_min_12"] == volume["N1"] / r
+            assert e["total"] == volume["N1"] / r
+            assert e["L_min"] == volume["L1"] / r
+            assert e["L_max"] == volume["L2"] / r

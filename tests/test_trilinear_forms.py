@@ -1,14 +1,13 @@
 import math
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conewave import (FREQUENCY, GridSpec, SpaceTimeField, AscentConfig,
-                      BallConeRegions, EstimateForm, best_constant, eval_J)
+                      BallConeRegions, best_constant, eval_J)
 from conewave import trilinear_forms
-from conewave.frequency_geometry import HLH_EASY, HLH_HARD, VOLUME_EXPONENTS
+from conewave.frequency_geometry import HLH_EASY, hlh_exponents
 from conewave.spectral_grid import region_mask
 from conewave.trilinear_forms import (_line_kernel, _line_spectrum, _Lines,
                                       objective_value)
@@ -71,42 +70,6 @@ def test_eval_j_grid_mismatch(grid8, grid16):
     b = random_field(grid16, 2)
     with pytest.raises(ValueError):
         eval_J(a, a, b)
-
-
-# ---------------------------------------------------------------------------
-# predicted constants
-# ---------------------------------------------------------------------------
-
-def test_estimate_form_exponents_r2():
-    easy = EstimateForm("easy").exponents(2)
-    assert easy["N_min_012"] == 1
-    assert easy["N_min_12"] == 0
-    assert easy["L_min"] == Fraction(1, 2)
-    hard = EstimateForm("hard").exponents(2)
-    assert hard["N_min_012"] == Fraction(1, 2)
-    assert hard["N_min_12"] == Fraction(1, 4)
-    assert hard["L_min"] == Fraction(1, 2)
-    assert hard["L_max"] == Fraction(1, 4)
-
-
-@pytest.mark.parametrize("r", [1, 3])
-def test_estimate_form_rejects_r_outside_one_two(r):
-    for kind in ("easy", "hard"):
-        with pytest.raises(ValueError, match="r must lie in"):
-            EstimateForm(kind).exponents(r)
-
-
-def test_constant_exponents_are_volume_exponents_over_r():
-    # Hoelder: at coincident N the constant exponents sum to the volume
-    # exponent over r, and each modulation exponent is its volume one over r
-    r_values = [Fraction(3, 2) + Fraction(i, 100) for i in range(1, 51)]
-    for r in r_values + [Fraction(9, 5), Fraction(8, 5)]:
-        for kind, case in (("hard", HLH_HARD), ("easy", HLH_EASY)):
-            e = EstimateForm(kind).exponents(r)
-            volume = VOLUME_EXPONENTS[case]
-            assert e["N_min_012"] + e["N_min_12"] == volume["N1"] / r
-            assert e["L_min"] == volume["L1"] / r
-            assert e["L_max"] == volume["L2"] / r
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +188,7 @@ def test_best_constant_tracks_easy_shape_across_octaves():
     grid = GridSpec(nx=16, nt=16, spatial_period=2 * math.pi,
                     time_period=2 * math.pi)
     L_span = 16     # dyadic, >= twice the tau range of this lattice
-    e = EstimateForm("easy").exponents(2)
+    e = hlh_exponents(HLH_EASY, 2)
     ratios = []
     for i, N1 in enumerate((1, 2, 4)):
         regions = BallConeRegions(N=(16, N1, 4), L=(L_span, L_span),
