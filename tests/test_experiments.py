@@ -710,7 +710,9 @@ def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw
     ("scaling.ini", "params", "band_limit", "-inf"),
     ("scaling.ini", "params", "band_limit", "100"),
     ("ledger.ini", "params", "r_min", "2"),
-    # a repeated list value wrote its rows again
+    # a repeated list value wrote its rows again; the ledger has no r
+    # list, so one is rejected as an unknown key that quotes its value
+    ("ledger.ini", "params", "r", "7/4 7/4"),
     ("ledger.ini", "params", "s_offsets", "0 0"),
     ("scaling.ini", "params", "lambda", "2 2"),
     ("solve.ini", "params", "direction", "t"),
@@ -798,7 +800,6 @@ def _cli_config_error(tmp_path, capsys, config, text, extra=()):
     ("ledger.ini", "experiment", "sede = 2", "sede"),
     ("ledger.ini", "sweep.r", "r = 7/4 2", None),
     # the r grid and s_offsets are the ledger's only points
-    ("ledger.ini", "params", "r = 7/4", "r"),
     ("ledger.ini", "params", "s = 7/4", "s"),
     ("scaling.ini", "params", "lamda = 2", "lamda"),
     ("strichartz.ini", "params", "resolution = 32 64", "resolution"),
@@ -816,6 +817,14 @@ def test_cli_rejects_unknown_key_or_section(tmp_path, capsys, config, section,
     if key is None:       # an unknown section is reported at its header
         line -= 1
     assert (record["section"], record["key"], record["line"]) == (section, key, line)
+
+
+def test_ledger_rejects_r_list_with_generated_grid(tmp_path, capsys):
+    # an explicit r list used to win silently over r_min, r_max and r_count;
+    # the r grid is now the ledger's only source of r
+    text, line = _insert_line("ledger.ini", "params", "r = 7/4")
+    record = _cli_config_error(tmp_path, capsys, "ledger.ini", text)
+    assert (record["section"], record["key"], record["line"]) == ("params", "r", line)
 
 
 @pytest.mark.parametrize("config, edits, key", [
