@@ -323,19 +323,21 @@ def _find_line(text: str, section: str, key: str | None = None) -> int | None:
 def load_config(path) -> ExperimentConfig:
     """Read an INI config and check it against its kind's schema."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"no such config file: {path}")
-    text = path.read_text(encoding="utf-8")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read_string(text)
+        text = path.read_text(encoding="utf-8")
+        parser.read_string(text, source=str(path))
         sections = {name: dict(parser.items(name)) for name in parser.sections()}
         exp = _read_section("experiment", sections.get("experiment", {}),
                             _EXPERIMENT)
         cfg = ExperimentConfig(sections=sections, path=str(path), **exp)
         cfg.values   # the schema pass, here so that errors carry their line
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
     except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(str(exc), getattr(exc, "section", None),
+                          getattr(exc, "option", None),
+                          getattr(exc, "lineno", None)) from exc
     except ConfigError as exc:
         raise ConfigError(exc.message, exc.section, exc.key,
                           _find_line(text, exc.section, exc.key)) from None
@@ -423,11 +425,6 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _record_count(path: Path) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        return max(0, sum(1 for _ in fh) - 1)
-
-
 # ---------------------------------------------------------------------------
 # worker pool
 # ---------------------------------------------------------------------------
@@ -473,7 +470,7 @@ def _ledger_point(r, s):
             "b_lo": interval.lo, "b_hi": interval.hi}
 
 
-def _run_ledger(cfg: ExperimentConfig, workers: int, out: Path):
+def _run_ledger(cfg: ExperimentConfig, workers: int):
     p = cfg.values["params"]
     step = (p["r_max"] - p["r_min"]) / p["r_count"]
     tasks = [dict(r=r, s=VOLUME_EXPONENTS[HLH_HARD]["N1"] / r + 1 + off)
@@ -481,24 +478,22 @@ def _run_ledger(cfg: ExperimentConfig, workers: int, out: Path):
              for off in p["s_offsets"]]
     results, errors = run_tasks(_ledger_point, tasks, workers)
     records = [r for r in results if r is not None]
-    files = [emit_results(records, out / "ledger.csv",
-                          ["r", "s", "feasible", "b_lo", "b_hi"])]
-    return files, errors
+    return [("ledger.csv", records, ["r", "s", "feasible", "b_lo", "b_hi"])], errors
 
 
 def _fit_sweep(label: str, axis: str, sweep: list, measured: str,
                errors: list) -> dict | None:
-    """Axis and power-law fit of one sweep's measured values against its
-    axis values, from its task results in order.  None when a task failed,
-    whose error errors already holds, or when the fit fails, which is added
-    to errors as sweep.<label>: <message>."""
+    """Axis and power-law fit of one ladder's measured values against its
+    axis values, from its rows in order.  None when a task failed, whose
+    error errors already holds, or when the fit fails, which is added to
+    errors as <label>: <message>."""
     if None in sweep:
         return None
     try:
         f = fit_power_law([rec[axis] for rec in sweep],
                           [rec[measured] for rec in sweep])
     except ValueError as exc:
-        errors.append(f"sweep.{label}: {exc}")
+        errors.append(f"{label}: {exc}")
         return None
     return {"axis": axis, "exponent": f.exponent, "intercept": f.intercept,
             "r_squared": f.r_squared}
@@ -514,7 +509,7 @@ def _volume_point(case: str, point: dict, samples: int, seed: int) -> dict:
                 std_error=est.std_error, bound=cfg["bound"], samples=samples)
 
 
-def _run_volumes(cfg: ExperimentConfig, workers: int, out: Path):
+def _run_volumes(cfg: ExperimentConfig, workers: int):
     p = cfg.values["params"]
     sweeps = _parse_sweeps(cfg.values, _VOLUME_AXIS_NAMES)
     tasks = [dict(case=p["case"], point=dict(base, **{axis: value}),
@@ -527,16 +522,14 @@ def _run_volumes(cfg: ExperimentConfig, workers: int, out: Path):
     for sweep_name, axis, values, _ in sweeps:
         sweep = list(islice(gathered, len(values)))
         series.extend(dict(rec, axis=axis) for rec in sweep if rec is not None)
-        fit = _fit_sweep(sweep_name, axis, sweep, "volume", errors)
+        fit = _fit_sweep(f"sweep.{sweep_name}", axis, sweep, "volume", errors)
         if fit:
             fits.append(dict(fit, case=p["case"]))
-    keys = sorted({k for rec in series for k in rec})
-    files = [emit_results(series, out / "volumes.csv", keys)]
+    tables = [("volumes.csv", series, sorted({k for rec in series for k in rec}))]
     if fits:
-        files.append(emit_results(fits, out / "volume_fits.csv",
-                                  ["case", "axis", "exponent", "intercept",
-                                   "r_squared"]))
-    return files, errors
+        tables.append(("volume_fits.csv", fits,
+                       ["case", "axis", "exponent", "intercept", "r_squared"]))
+    return tables, errors
 
 
 def _constant_point(nx, nt, N0, N1, N2, L1, L2, signs, r, restarts, max_iters,
@@ -554,7 +547,7 @@ def _constant_point(nx, nt, N0, N1, N2, L1, L2, signs, r, restarts, max_iters,
             "trace": m.trace}
 
 
-def _run_constants(cfg: ExperimentConfig, workers: int, out: Path):
+def _run_constants(cfg: ExperimentConfig, workers: int):
     regions = cfg.values["regions"]
     patterns = [(label, signs) for label, signs in (
         ("base", regions["signs"]), ("alt", regions["compare_signs"])) if signs]
@@ -578,21 +571,19 @@ def _run_constants(cfg: ExperimentConfig, workers: int, out: Path):
     cols = ["sweep", "axis", "N0", "N1", "N2", "L1", "L2", "signs", "r",
             "measured_C", "iterations", "converged", "restarts", "seed",
             "degenerate"]
-    files = [emit_results(records, out / "constants.csv", cols),
-             emit_results(trace_rows, out / "ascent_trace.csv",
-                          key + ["iteration", "value"])]
+    tables = [("constants.csv", records, cols),
+              ("ascent_trace.csv", trace_rows, key + ["iteration", "value"])]
     fits = []
     axes = {task["sweep"]: task["axis"] for task in tasks}
     for label in sorted(axes):
         sweep = [res for task, res in zip(tasks, results) if task["sweep"] == label]
-        fit = _fit_sweep(label, axes[label], sweep, "measured_C", errors)
+        fit = _fit_sweep(f"sweep.{label}", axes[label], sweep, "measured_C", errors)
         if fit:
             fits.append(dict(fit, sweep=label))
     if fits:
-        files.append(emit_results(fits, out / "constant_fits.csv",
-                                  ["sweep", "axis", "exponent", "intercept",
-                                   "r_squared"]))
-    return files, errors
+        tables.append(("constant_fits.csv", fits,
+                       ["sweep", "axis", "exponent", "intercept", "r_squared"]))
+    return tables, errors
 
 
 def _single_mode_data(grid: GridSpec, mode, amplitude: float) -> CauchyData:
@@ -624,7 +615,7 @@ def _trajectory_records(traj, oracle) -> list:
     return [dict(zip(columns, row)) for row in rows]
 
 
-def _run_solve(cfg: ExperimentConfig, workers: int, out: Path):
+def _run_solve(cfg: ExperimentConfig, workers: int):
     del workers
     grid = _grid_spec(cfg.values["grid"])
     p = cfg.values["params"]
@@ -635,23 +626,20 @@ def _run_solve(cfg: ExperimentConfig, workers: int, out: Path):
     data = _single_mode_data(grid, p["mode"], p["amplitude"])
     traj, report = picard_solve(data, kind, solver_cfg)
     oracle = rk4_solve(data, kind, solver_cfg)
-    records = _trajectory_records(traj, oracle)
-    files = [emit_results(records, out / "trajectory.csv")]
     summary = [{
         "converged": report.converged,
         "iterations": len(report.residuals),
         "final_residual": report.residuals[-1] if report.residuals else 0.0,
         "rk4_unstable": oracle.meta.get("unstable", False),
     }]
-    files.append(emit_results(summary, out / "summary.csv"))
     history = [{"iteration": i, "residual": r}
                for i, r in enumerate(report.residuals, start=1)]
-    files.append(emit_results(history, out / "residuals.csv",
-                              field_order=["iteration", "residual"]))
-    return files, []
+    return [("trajectory.csv", _trajectory_records(traj, oracle), None),
+            ("summary.csv", summary, None),
+            ("residuals.csv", history, ["iteration", "residual"])], []
 
 
-def _run_scaling(cfg: ExperimentConfig, workers: int, out: Path):
+def _run_scaling(cfg: ExperimentConfig, workers: int):
     del workers
     grid = _grid_spec(cfg.values["grid"])
     p = cfg.values["params"]
@@ -663,8 +651,7 @@ def _run_scaling(cfg: ExperimentConfig, workers: int, out: Path):
             records.append({"s": s, "r": r, "lambda": lam, "ratio": rep.ratio,
                             "predicted": rep.predicted,
                             "rel_error": rep.rel_error, "aliased": rep.aliased})
-    files = [emit_results(records, out / "scaling.csv")]
-    return files, []
+    return [("scaling.csv", records, None)], []
 
 
 def _strichartz_point(resolution, seed, q_t, nt, band_modes):
@@ -678,7 +665,7 @@ def _strichartz_point(resolution, seed, q_t, nt, band_modes):
     return strichartz_ratio(data, q_t, s=s)
 
 
-def _run_strichartz(cfg: ExperimentConfig, workers: int, out: Path):
+def _run_strichartz(cfg: ExperimentConfig, workers: int):
     p = cfg.values["params"]
     # The random data band is pinned at the coarsest grid's capacity and only
     # the lattice refines, so a flat trend certifies that the discrete
@@ -696,15 +683,13 @@ def _run_strichartz(cfg: ExperimentConfig, workers: int, out: Path):
         groups.setdefault(rec["resolution"], []).append(rec["ratio"])
     medians = [{"resolution": m, "median_ratio": float(np.median(groups[m]))}
                for m in sorted(groups)]
-    slope = (fit_power_law([row["resolution"] for row in medians],
-                           [row["median_ratio"] for row in medians]).exponent
-             if len(medians) >= 2 else 0.0)
-    files = [emit_results(records, out / "ratios.csv",
-                          ["resolution", "seed", "ratio"]),
-             emit_results(medians, out / "medians.csv",
-                          ["resolution", "median_ratio"]),
-             emit_results([{"slope": slope}], out / "slope.csv")]
-    return files, errors
+    tables = [("ratios.csv", records, ["resolution", "seed", "ratio"]),
+              ("medians.csv", medians, ["resolution", "median_ratio"])]
+    fit = _fit_sweep("params.resolutions", "resolution", medians,
+                     "median_ratio", errors)
+    if fit:
+        tables.append(("slope.csv", [{"slope": fit["exponent"]}], ["slope"]))
+    return tables, errors
 
 
 _RUNNERS = {
@@ -724,9 +709,9 @@ _RUNNERS = {
 def run_experiment(config, workers=None, out_dir=None, seed=None) -> dict:
     """Run one configured experiment; returns the manifest dictionary.
 
-    Writes one CSV per result table plus manifest.json in out_dir
-    (default results).  Worker failures preserve partial results and mark
-    the manifest incomplete.
+    Writes one CSV per result table that the kind's runner returns, plus
+    manifest.json, in out_dir (default results).  Worker failures preserve
+    partial results and mark the manifest incomplete.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
@@ -737,12 +722,18 @@ def run_experiment(config, workers=None, out_dir=None, seed=None) -> dict:
     config.values     # the schema pass, before any work
     workers = resolve_workers(workers)
     out = Path(out_dir if out_dir is not None else "results")
-    out.mkdir(parents=True, exist_ok=True)
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    errors = []
-    files = []
     try:
-        files, errors = _RUNNERS[config.kind](config, workers, out)
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory: {exc}",
+                          "--out", "out") from None
+    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    files = []       # (path, records written)
+    try:
+        tables, errors = _RUNNERS[config.kind](config, workers)
+        for name, records, columns in tables:
+            files.append((emit_results(records, out / name, columns),
+                          len(records)))
     except Exception as exc:
         errors = [f"{type(exc).__name__}: {exc}"]
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -764,8 +755,8 @@ def run_experiment(config, workers=None, out_dir=None, seed=None) -> dict:
         "complete": not errors,
         "errors": errors,
         "files": [{"name": f.name, "sha256": _sha256(f),
-                   "bytes": f.stat().st_size, "records": _record_count(f)}
-                  for f in files],
+                   "bytes": f.stat().st_size, "records": count}
+                  for f, count in files],
     }
     with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

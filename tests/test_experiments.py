@@ -568,8 +568,9 @@ STRICHARTZ_MEMBERS = {32: [8.0, 100.0, 1.0, None], 64: [4.0, 4.0, 50.0, 1.0],
 @pytest.mark.parametrize("members, medians, slope", [
     pytest.param(STRICHARTZ_MEMBERS, {32: 8.0, 64: 4.0, 128: 2.0}, -1.0,
                  id="three_medians"),
-    # fewer than two resolutions with a median: the slope is 0
-    pytest.param({32: STRICHARTZ_MEMBERS[32], 64: [None] * 4}, {32: 8.0}, 0.0,
+    # fewer than two resolutions with a median: the fit fails after the
+    # member errors and no slope is written
+    pytest.param({32: STRICHARTZ_MEMBERS[32], 64: [None] * 4}, {32: 8.0}, None,
                  id="one_median")])
 def test_strichartz_rows_medians_and_slope(tmp_path, monkeypatch, members,
                                            medians, slope):
@@ -589,8 +590,10 @@ def test_strichartz_rows_medians_and_slope(tmp_path, monkeypatch, members,
     assert manifest["complete"] is False
     failed = [3 + 7919 * m + j for m, rs in members.items()
               for j, r in enumerate(rs) if r is None]
+    fit_errors = [] if slope is not None else [
+        "params.resolutions: fit_power_law needs at least two points"]
     assert [err.splitlines()[0] for err in manifest["errors"]] == [
-        f"RuntimeError: member {seed} failed" for seed in failed]
+        f"RuntimeError: member {seed} failed" for seed in failed] + fit_errors
     rows = read_csv(tmp_path / "out" / "ratios.csv")
     assert [(int(r["resolution"]), int(r["seed"]), float(r["ratio"]))
             for r in rows] == [
@@ -599,8 +602,24 @@ def test_strichartz_rows_medians_and_slope(tmp_path, monkeypatch, members,
     got = {int(r["resolution"]): float(r["median_ratio"])
            for r in read_csv(tmp_path / "out" / "medians.csv")}
     assert got == medians
-    (row,) = read_csv(tmp_path / "out" / "slope.csv")
-    assert float(row["slope"]) == pytest.approx(slope, abs=1e-12)
+    if slope is None:
+        assert not (tmp_path / "out" / "slope.csv").exists()
+    else:
+        (row,) = read_csv(tmp_path / "out" / "slope.csv")
+        assert float(row["slope"]) == pytest.approx(slope, abs=1e-12)
+
+
+def test_cli_strichartz_one_rung_ladder_has_no_slope(tmp_path, capsys):
+    # one resolution cannot fit a slope; the run exited 0 with slope 0
+    text = (CONFIG_DIR / "strichartz.ini").read_text(encoding="utf-8")
+    path = write_config(tmp_path, text.replace("resolutions = 32 64 128 256",
+                                               "resolutions = 32"))
+    rc = cli_main(["strichartz", "--config", str(path), "--workers", "1",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    error = "params.resolutions: fit_power_law needs at least two points"
+    assert json.loads(capsys.readouterr().err)["errors"] == [error]
+    assert not (tmp_path / "out" / "slope.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +643,35 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     record = json.loads(err.strip())
     assert record["error"] == "config"
     assert record["key"] == "seed"
+
+
+@pytest.mark.parametrize("content, where", [
+    ("directory", (None, None, None)),
+    (b"[experiment]\nkind = ledger\nseed = 1\n# \xff\n", (None, None, None)),
+    (b"[experiment]\nkind = ledger\nseed = 1\nseed = 2\n",
+     ("experiment", "seed", 4)),
+    (b"[experiment]\nkind = ledger\n\n[experiment]\nseed = 1\n",
+     ("experiment", None, 4)),
+    ("missing", (None, None, None))],
+    ids=["directory", "non-utf-8", "duplicate-key", "duplicate-section",
+         "missing"])
+def test_cli_rejects_unreadable_or_unparsable_config(tmp_path, capsys, content,
+                                                      where):
+    # a directory or a non-UTF-8 byte exited 1 with a traceback; a repeat
+    # exited 2 without the section, key and line that configparser gives
+    path = tmp_path / "exp.ini"
+    if content == "directory":
+        path.mkdir()
+    elif content != "missing":
+        path.write_bytes(content)
+    rc = cli_main(["ledger", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert (record["section"], record["key"], record["line"]) == where
+    assert ("already exists" if where[0] else "cannot read config file"
+            ) in record["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_rejects_kind_mismatch(tmp_path, capsys):
@@ -857,6 +905,17 @@ def test_cli_rejects_workers_below_one(tmp_path, capsys, value):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_rejects_out_naming_a_file(tmp_path, capsys):
+    # an existing file exited 1 with a FileExistsError traceback
+    out = tmp_path / "o"
+    out.write_text("kept\n", encoding="utf-8")
+    text = (CONFIG_DIR / "ledger.ini").read_text(encoding="utf-8")
+    record = _cli_config_error(tmp_path, capsys, "ledger.ini", text)
+    assert (record["section"], record["key"]) == ("--out", "out")
+    assert str(out) in record["message"]
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
 @pytest.mark.parametrize("config", ["volumes_easy.ini", "constants.ini",
                                     "ledger.ini"])
 def test_cli_rejects_negative_seed_flag(tmp_path, capsys, config):
@@ -951,8 +1010,10 @@ def test_manifest_config_echo_round_trips(tmp_path, config):
     again = run_experiment(echoed, workers=2, out_dir=tmp_path / "b")
     assert [f["name"] for f in again["files"]] == [f["name"] for f in manifest["files"]]
     for entry in manifest["files"]:
-        assert ((tmp_path / "a" / entry["name"]).read_bytes()
-                == (tmp_path / "b" / entry["name"]).read_bytes())
+        data = (tmp_path / "a" / entry["name"]).read_bytes()
+        assert data == (tmp_path / "b" / entry["name"]).read_bytes()
+        # records counts the rows written: the data lines below the header
+        assert entry["records"] == data.count(b"\n") - 1
 
 
 def test_cli_rejects_misspelled_constants_sweep_key(tmp_path, capsys):
