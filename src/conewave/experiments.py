@@ -32,10 +32,10 @@ from . import __version__
 from .dyadic_ledger import feasible_b
 from .frequency_geometry import (HLH_HARD, VOLUME_CASES, VOLUME_EXPONENTS,
                                  region_volume_mc, volume_case_config)
-from .nlw_solver import (DIRECTIONS, FULL_GRAD_SQUARE, NONLINEARITY_KINDS,
-                         CauchyData, Nonlinearity, SolverConfig,
-                         picard_solve, plancherel_energy, plancherel_l2,
-                         random_data, rk4_solve, strichartz_ratio)
+from .nlw_solver import (FULL_GRAD_SQUARE, NONLINEARITY_KINDS, CauchyData,
+                         Nonlinearity, SolverConfig, picard_solve,
+                         plancherel_energy, plancherel_l2, random_data,
+                         rk4_solve, strichartz_ratio)
 from .norms import LebesgueExponents, scaling_law_check
 from .spectral_grid import PHYSICAL, TWO_PI, GridSpec, SpatialField, is_dyadic
 from ._regression import fit_power_law
@@ -127,14 +127,6 @@ def _check_ledger(values, cfg):
                           f"{p['r_max']}", "params", key)
 
 
-def _check_solve(values, cfg):
-    p = values["params"]
-    try:
-        Nonlinearity(p["nonlinearity"], p["direction"])
-    except ValueError as exc:
-        raise ConfigError(str(exc), "params", "direction") from None
-
-
 def _volume_seed(seed: int, sweep_index: int, value_index: int) -> int:
     """Seed of point value_index of the volumes sweep sweep_index (sweeps
     in name order)."""
@@ -194,13 +186,12 @@ SCHEMAS = {
         "grid": {"nx": (INT, 16, GRID_SIZE), "nt": (INT, 8, GRID_SIZE)},
         "params": {
             "nonlinearity": (_word(*NONLINEARITY_KINDS), FULL_GRAD_SQUARE, None),
-            "direction": (_word(*DIRECTIONS), None, None),
             "amplitude": (FLOAT, 1e-3, None),
             "mode": (_list_of(INT, length=2), (1, 0), None),
             "t_final": (FLOAT, 0.1, POSITIVE),
             "n_steps": (INT, 64, (">= 2", lambda n: n >= 2)),
             "picard_tol": (FLOAT, 1e-10, POSITIVE),
-            "picard_max": (INT, 30, AT_LEAST_1)}}, None, _check_solve),
+            "picard_max": (INT, 30, AT_LEAST_1)}}, None, None),
     "scaling": ({
         "grid": {"nx": (INT, 32, GRID_SIZE), "nt": (INT, 8, GRID_SIZE)},
         "params": {"s": (_list_of(RATIONAL), REQUIRED, None),
@@ -335,9 +326,11 @@ def load_config(path) -> ExperimentConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     except configparser.Error as exc:
+        # a ParsingError keeps its (line, text) pairs in errors, not lineno
+        first = (getattr(exc, "errors", None) or [(None, None)])[0]
         raise ConfigError(str(exc), getattr(exc, "section", None),
                           getattr(exc, "option", None),
-                          getattr(exc, "lineno", None)) from exc
+                          getattr(exc, "lineno", first[0])) from exc
     except ConfigError as exc:
         raise ConfigError(exc.message, exc.section, exc.key,
                           _find_line(text, exc.section, exc.key)) from None
@@ -430,29 +423,24 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_task(payload):
-    fn, index, kwargs = payload
+    fn, kwargs = payload
     try:
-        return index, fn(**kwargs), None
+        return fn(**kwargs), None
     except Exception as exc:   # pragma: no cover - exercised via failure test
-        return index, None, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
+        return None, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
 
 
 def run_tasks(fn, task_kwargs: list, workers: int):
     """Deterministic parallel map of fn, a module-level function (it pickles
-    by reference), over keyword sets: results returned in task order."""
-    payloads = [(fn, i, kw) for i, kw in enumerate(task_kwargs)]
+    by reference), over keyword sets: results returned in task order, which
+    pool.map keeps."""
+    payloads = [(fn, kw) for kw in task_kwargs]
     if workers <= 1 or len(payloads) <= 1:
         raw = [_run_task(p) for p in payloads]
     else:
         with multiprocessing.Pool(processes=min(workers, len(payloads))) as pool:
             raw = pool.map(_run_task, payloads)
-    raw.sort(key=lambda item: item[0])
-    results, errors = [], []
-    for _, res, err in raw:
-        results.append(res)
-        if err is not None:
-            errors.append(err)
-    return results, errors
+    return [res for res, _ in raw], [err for _, err in raw if err is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +607,7 @@ def _run_solve(cfg: ExperimentConfig, workers: int):
     del workers
     grid = _grid_spec(cfg.values["grid"])
     p = cfg.values["params"]
-    kind = Nonlinearity(p["nonlinearity"], p["direction"])
+    kind = Nonlinearity(p["nonlinearity"])
     solver_cfg = SolverConfig(T=p["t_final"], n_steps=p["n_steps"],
                               picard_tol=p["picard_tol"],
                               picard_max=p["picard_max"])

@@ -51,11 +51,10 @@ class CauchyData:
 
 FULL_GRAD_SQUARE = "full_grad_square"
 SPATIAL_GRAD_SQUARE = "spatial_grad_square"
-DERIV_OF_SQUARE = "deriv_of_square"
 NO_FORCING = "none"
-NONLINEARITY_KINDS = (FULL_GRAD_SQUARE, SPATIAL_GRAD_SQUARE, DERIV_OF_SQUARE,
-                      NO_FORCING)
-DIRECTIONS = ("t", "x1", "x2")
+NONLINEARITY_KINDS = (FULL_GRAD_SQUARE, SPATIAL_GRAD_SQUARE,
+                      "deriv_of_square_t", "deriv_of_square_x1",
+                      "deriv_of_square_x2", NO_FORCING)
 
 
 @dataclass(frozen=True)
@@ -64,21 +63,16 @@ class Nonlinearity:
 
     full_grad_square reads (du)^2 as the sign-definite sum of squares
     (du/dt)^2 + |grad u|^2 (no null structure); spatial_grad_square is
-    |grad u|^2; deriv_of_square is d/dj (u^2) for j in {t, x1, x2}; "none"
-    turns the forcing off (the free linear problem).
+    |grad u|^2; deriv_of_square_t, deriv_of_square_x1 and deriv_of_square_x2
+    are d/dt (u^2), d/dx1 (u^2) and d/dx2 (u^2); "none" turns the forcing off
+    (the free linear problem).
     """
 
     kind: str
-    direction: str | None = None
 
     def __post_init__(self):
         if self.kind not in NONLINEARITY_KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.kind == DERIV_OF_SQUARE:
-            if self.direction not in DIRECTIONS:
-                raise ValueError("deriv_of_square needs direction 't', 'x1' or 'x2'")
-        elif self.direction is not None:
-            raise ValueError(f"{self.kind} takes no direction")
 
 
 @dataclass(frozen=True)
@@ -223,6 +217,10 @@ def free_trajectory(data: CauchyData, T: float, n_steps: int) -> Trajectory:
 # nonlinearities
 # ---------------------------------------------------------------------------
 
+# deriv_of_square_x<j> -> index of d/dx<j> in the spectral derivative stack
+_X_DERIV = {"deriv_of_square_x1": 0, "deriv_of_square_x2": 1}
+
+
 def _forcing_hat(spectral, u_hat, ut_hat, kind: Nonlinearity):
     """Forcing spectra from spectra of u and u_t of any leading shape
     (..., nx, nx): one batched inverse and one forward transform, in place.
@@ -230,12 +228,12 @@ def _forcing_hat(spectral, u_hat, ut_hat, kind: Nonlinearity):
     keep, deriv, scale = spectral
     if kind.kind == NO_FORCING:
         return np.zeros(u_hat.shape, dtype=np.complex128)
-    if kind.kind == DERIV_OF_SQUARE and kind.direction == "t":
+    if kind.kind == "deriv_of_square_t":
         stack = _ifft(np.stack((u_hat, ut_hat), axis=-3) * keep)
         product = 2.0 * stack[..., 0, :, :] * stack[..., 1, :, :]
-    elif kind.kind == DERIV_OF_SQUARE:
+    elif kind.kind in _X_DERIV:
         product = np.square(_ifft(u_hat * keep))
-        scale = deriv[0 if kind.direction == "x1" else 1] * scale
+        scale = deriv[_X_DERIV[kind.kind]] * scale
     else:
         n_ut = int(kind.kind == FULL_GRAD_SQUARE)  # u_t leads the stack
         stack = np.empty(u_hat.shape[:-2] + (n_ut + 2,) + u_hat.shape[-2:],
@@ -448,8 +446,7 @@ def _hermitian_random_spectrum(grid: GridSpec, exponent: float, rng,
     idx = np.rint(nx * np.fft.fftfreq(nx)).astype(int)
     k1 = idx[:, None]
     k2 = idx[None, :]
-    x1, x2 = grid.spatial_frequency_mesh()
-    r = np.sqrt(x1 ** 2 + x2 ** 2)
+    r = grid.xi_magnitude()
     band = (r <= band_limit) & (np.abs(k1) < nx // 2) & (np.abs(k2) < nx // 2)
     keep = band & ((k1 > 0) | ((k1 == 0) & (k2 > 0)))
     # a phase is drawn for every mode, so the stream does not depend on the band

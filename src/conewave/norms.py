@@ -53,16 +53,14 @@ def fl_norm(f: SpatialField, r, s, homogeneous: bool = False) -> float:
     The homogeneous variant weights by |xi|^s and excludes the xi = 0 mode.
     """
     p = float(LebesgueExponents(r).p)
-    fhat = to_frequency(f)
-    x1, x2 = f.grid.spatial_frequency_mesh()
-    mag = np.abs(fhat.values)
+    mag = np.abs(to_frequency(f).values)
+    r_xi = f.grid.xi_magnitude()
     if homogeneous:
-        r_xi = np.broadcast_to(np.sqrt(x1 ** 2 + x2 ** 2), mag.shape)
         w = np.zeros_like(r_xi)
         nz = r_xi > 0
         w[nz] = r_xi[nz] ** s
     else:
-        w = bracket_weight(np.sqrt(x1 ** 2 + x2 ** 2)) ** s
+        w = bracket_weight(r_xi) ** s
     total = float(np.sum((w * mag) ** p)) * f.grid.spatial_freq_cell
     return total ** (1.0 / p)
 

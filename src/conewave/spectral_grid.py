@@ -277,8 +277,8 @@ def dyadic_restrict(fld: SpaceTimeField, N, L=None, sign=None) -> SpaceTimeField
     if fld.rep != FREQUENCY:
         raise ValueError("dyadic_restrict expects a frequency-representation field")
     N = require_dyadic("N", N)
-    tau, x1, x2 = fld.grid.frequency_mesh()
-    xi_mag = np.sqrt(x1 ** 2 + x2 ** 2)
+    tau = fld.grid.frequency_mesh()[0]
+    xi_mag = fld.grid.xi_magnitude()
     w = bracket_weight(xi_mag)
     mask = (w >= N) & (w < 2 * N)
     if L is not None:
@@ -296,8 +296,8 @@ def dyadic_restrict(fld: SpaceTimeField, N, L=None, sign=None) -> SpaceTimeField
 def dyadic_band_values(grid: GridSpec, L_bands=False):
     """Dyadic values N (or L) that can carry nonzero lattice content."""
     if L_bands:
-        tau, x1, x2 = grid.frequency_mesh()
-        top = float(np.max(bracket_weight(np.abs(tau) - np.sqrt(x1 ** 2 + x2 ** 2))))
+        tau = grid.frequency_mesh()[0]
+        top = float(np.max(bracket_weight(np.abs(tau) - grid.xi_magnitude())))
     else:
         top = float(np.max(bracket_weight(grid.xi_magnitude())))
     out = []

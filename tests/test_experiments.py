@@ -24,6 +24,7 @@ from conewave.experiments import (ConfigError, ExperimentConfig, format_cell,
                                   resolve_workers)
 from conewave.frequency_geometry import (HLH_HARD, region_volume_mc,
                                          volume_case_config)
+from conewave.nlw_solver import NONLINEARITY_KINDS
 from conewave.norms import spatial_l2
 
 from conftest import DEALIASED
@@ -443,6 +444,40 @@ def test_solve_experiment_smoke(tmp_path):
     assert "residuals.csv" in {f["name"] for f in manifest["files"]}
 
 
+def _solve_picard_columns(tmp_path, kind):
+    """The Picard columns of trajectory.csv from `conewave solve` on an
+    8x8 grid with the forcing kind and the datum 1e-3 cos(x1 + x2)."""
+    path = write_config(tmp_path, f"""[experiment]
+kind = solve
+seed = 1
+
+[grid]
+nx = 8
+
+[params]
+nonlinearity = {kind}
+mode = 1 1
+n_steps = 16
+picard_max = 10
+""", name=f"{kind}.ini")
+    out = tmp_path / kind
+    assert cli_main(["solve", "--config", str(path), "--workers", "1",
+                     "--out", str(out)]) == 0
+    assert len(read_csv(out / "summary.csv")) == 1
+    return [{key: value for key, value in row.items()
+             if key.startswith("picard")}
+            for row in read_csv(out / "trajectory.csv")]
+
+
+@pytest.mark.parametrize("kind", NONLINEARITY_KINDS)
+def test_cli_solve_runs_every_nonlinearity(tmp_path, kind):
+    # with mode 1 1 every forcing kind is nonzero on the datum (with 1 0,
+    # d/dx2 (u^2) vanishes), so each one moves the Picard solution
+    picard = _solve_picard_columns(tmp_path, kind)
+    if kind != "none":
+        assert picard != _solve_picard_columns(tmp_path, "none")
+
+
 def physical_energy(u, u_t):
     """(1/2) sum (|u_t|^2 + |grad u|^2) dx^2 with the gradient taken by
     np.fft on the 2 pi torus."""
@@ -455,15 +490,10 @@ def physical_energy(u, u_t):
     return 0.5 * float(np.sum(dens)) * u.grid.spatial_phys_cell
 
 
-SOLVE_KINDS = [Nonlinearity("spatial_grad_square"), Nonlinearity("full_grad_square"),
-               Nonlinearity("deriv_of_square", "t"),
-               Nonlinearity("deriv_of_square", "x1"),
-               Nonlinearity("deriv_of_square", "x2"), Nonlinearity("none")]
-
-
 @DEALIASED
-@pytest.mark.parametrize("kind", SOLVE_KINDS,
-                         ids=lambda kind: kind.direction or kind.kind)
+@pytest.mark.parametrize(
+    "kind", [Nonlinearity(word) for word in NONLINEARITY_KINDS],
+    ids=["full_grad_square", "spatial_grad_square", "t", "x1", "x2", "none"])
 def test_trajectory_records_match_per_slice_norms(kind, dealiased):
     # two Picard iterations and four RK4 steps keep the two solutions apart
     # by more than 1e-3 relative after t = 0, so that abs_diff_l2 is not a
@@ -510,7 +540,7 @@ def test_rk4_trajectory_holds_each_stack_once():
     params = values["params"]
     grid = experiments._grid_spec(values["grid"])
     data = experiments._single_mode_data(grid, params["mode"], params["amplitude"])
-    kind = Nonlinearity(params["nonlinearity"], params["direction"])
+    kind = Nonlinearity(params["nonlinearity"])
     cfg = SolverConfig(T=params["t_final"], n_steps=params["n_steps"])
     rk4_solve(data, kind, cfg).u      # warm every lazily built cache
     stack = 2 * (cfg.n_steps + 1) * grid.nx ** 2 * 16
@@ -645,20 +675,27 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert record["key"] == "seed"
 
 
-@pytest.mark.parametrize("content, where", [
-    ("directory", (None, None, None)),
-    (b"[experiment]\nkind = ledger\nseed = 1\n# \xff\n", (None, None, None)),
+UNREADABLE = "cannot read config file"
+
+
+@pytest.mark.parametrize("content, where, message", [
+    ("directory", (None, None, None), UNREADABLE),
+    (b"[experiment]\nkind = ledger\nseed = 1\n# \xff\n", (None, None, None),
+     UNREADABLE),
     (b"[experiment]\nkind = ledger\nseed = 1\nseed = 2\n",
-     ("experiment", "seed", 4)),
+     ("experiment", "seed", 4), "already exists"),
     (b"[experiment]\nkind = ledger\n\n[experiment]\nseed = 1\n",
-     ("experiment", None, 4)),
-    ("missing", (None, None, None))],
+     ("experiment", None, 4), "already exists"),
+    (b"[experiment]\nkind = ledger\nseed = 1\n[params]\ns_offsets 0\n",
+     (None, None, 5), "contains parsing errors"),
+    ("missing", (None, None, None), UNREADABLE)],
     ids=["directory", "non-utf-8", "duplicate-key", "duplicate-section",
-         "missing"])
+         "no-equals", "missing"])
 def test_cli_rejects_unreadable_or_unparsable_config(tmp_path, capsys, content,
-                                                      where):
+                                                      where, message):
     # a directory or a non-UTF-8 byte exited 1 with a traceback; a repeat
-    # exited 2 without the section, key and line that configparser gives
+    # exited 2 without the section, key and line that configparser gives,
+    # and a line without "=" exited 2 without its line number
     path = tmp_path / "exp.ini"
     if content == "directory":
         path.mkdir()
@@ -669,8 +706,7 @@ def test_cli_rejects_unreadable_or_unparsable_config(tmp_path, capsys, content,
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "config"
     assert (record["section"], record["key"], record["line"]) == where
-    assert ("already exists" if where[0] else "cannot read config file"
-            ) in record["message"]
+    assert message in record["message"]
     assert not (tmp_path / "o").exists()
 
 
@@ -771,6 +807,8 @@ def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw
     ("solve.ini", "params", "n_steps", "0"),
     ("solve.ini", "params", "t_final", "-1"),
     ("solve.ini", "params", "nonlinearity", "foo"),
+    # the derivative's direction is part of the kind's word
+    ("solve.ini", "params", "nonlinearity", "deriv_of_square"),
     ("solve.ini", "params", "mode", "1"),
     ("constants.ini", "ascent", "restarts", "0"),
     ("constants.ini", "regions", "signs", "+ + x"),
@@ -794,17 +832,6 @@ def test_cli_rejects_bad_number_key(tmp_path, capsys, config, section,
     assert record["error"] == "config"
     assert (record["section"], record["key"]) == (section, key)
     assert raw in record["message"]
-
-
-def test_solve_rejects_deriv_of_square_without_direction(tmp_path, capsys):
-    # Nonlinearity's own rule, reported at the [params] header
-    text = (CONFIG_DIR / "solve.ini").read_text(encoding="utf-8")
-    text = text.replace("nonlinearity = full_grad_square",
-                        "nonlinearity = deriv_of_square")
-    record = _cli_config_error(tmp_path, capsys, "solve.ini", text)
-    assert (record["section"], record["key"], record["line"]) == (
-        "params", "direction", text.splitlines().index("[params]") + 1)
-    assert "deriv_of_square needs direction" in record["message"]
 
 
 def _insert_line(config, section, entry):

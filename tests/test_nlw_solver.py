@@ -9,8 +9,9 @@ from conewave import (FREQUENCY, PHYSICAL, CauchyData, GridSpec, Nonlinearity,
                       existence_probe, free_solution, nonlinearity_eval,
                       picard_solve, random_data, rk4_solve, wave_admissible)
 from conewave import nlw_solver, spectral_grid
-from conewave.nlw_solver import (_duhamel_data, _evolve, _halfwave,
-                                  free_trajectory, gradient_magnitude_trajectory,
+from conewave.nlw_solver import (NONLINEARITY_KINDS, _duhamel_data, _evolve,
+                                  _halfwave, free_trajectory,
+                                  gradient_magnitude_trajectory,
                                   strichartz_ratio)
 from conewave.norms import fl_norm, spatial_l2
 from conewave.spectral_grid import to_frequency, to_physical
@@ -191,7 +192,7 @@ def test_deriv_of_square_time_direction():
     x1, x2 = np.meshgrid(x, x, indexing="ij")
     u = SpatialField(grid, np.sin(x1 + x2), PHYSICAL)
     ut = SpatialField(grid, np.cos(x1), PHYSICAL)
-    out = nonlinearity_eval(u, ut, Nonlinearity("deriv_of_square", "t"))
+    out = nonlinearity_eval(u, ut, Nonlinearity("deriv_of_square_t"))
     assert np.abs(out.values - 2 * u.values * ut.values).max() < 1e-13
 
 
@@ -204,7 +205,7 @@ def test_deriv_of_square_vs_finite_difference():
         x1, x2 = np.meshgrid(x, x, indexing="ij")
         u = SpatialField(grid, np.sin(x1) + 0.5 * np.cos(x1 + 2 * x2), PHYSICAL)
         z = SpatialField(grid, np.zeros(grid.spatial_shape), PHYSICAL)
-        out = nonlinearity_eval(u, z, Nonlinearity("deriv_of_square", "x1"))
+        out = nonlinearity_eval(u, z, Nonlinearity("deriv_of_square_x1"))
         sq = (u.values ** 2).real
         fd = (np.roll(sq, -1, axis=0) - np.roll(sq, 1, axis=0)) / (2 * grid.dx)
         errors.append(np.abs(out.values - fd).max())
@@ -215,8 +216,8 @@ def test_deriv_of_square_vs_finite_difference():
 @DEALIASED
 @pytest.mark.parametrize("kind", [
     Nonlinearity("spatial_grad_square"), Nonlinearity("full_grad_square"),
-    Nonlinearity("deriv_of_square", "t"), Nonlinearity("deriv_of_square", "x1"),
-    Nonlinearity("deriv_of_square", "x2")],
+    Nonlinearity("deriv_of_square_t"), Nonlinearity("deriv_of_square_x1"),
+    Nonlinearity("deriv_of_square_x2")],
     ids=["spatial_grad_square", "full_grad_square", "dt", "dx1", "dx2"])
 def test_nonlinearity_eval_matches_numpy_reference(kind, dealiased):
     grid = make_grid(nx=16)
@@ -233,9 +234,9 @@ def test_nonlinearity_eval_matches_numpy_reference(kind, dealiased):
     grad_sq = np_derivative(uu, 0) ** 2 + np_derivative(uu, 1) ** 2
     want = cut({"spatial_grad_square": grad_sq,
                 "full_grad_square": vv ** 2 + grad_sq,
-                "t": 2.0 * uu * vv,
-                "x1": np_derivative(uu ** 2, 0),
-                "x2": np_derivative(uu ** 2, 1)}[kind.direction or kind.kind])
+                "deriv_of_square_t": 2.0 * uu * vv,
+                "deriv_of_square_x1": np_derivative(uu ** 2, 0),
+                "deriv_of_square_x2": np_derivative(uu ** 2, 1)}[kind.kind])
     got = nonlinearity_eval(SpatialField(grid, u, PHYSICAL),
                             SpatialField(grid, ut, PHYSICAL), kind)
     assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
@@ -293,10 +294,8 @@ def test_duhamel_sweep_matches_single_slice_reference(n_steps):
             assert err <= 1e-13 * np.abs(want).max()
 
 
-KINDS = [Nonlinearity("spatial_grad_square"), Nonlinearity("full_grad_square"),
-         Nonlinearity("deriv_of_square", "t"), Nonlinearity("deriv_of_square", "x1"),
-         Nonlinearity("deriv_of_square", "x2"), Nonlinearity("none")]
-KIND_IDS = ["spatial_grad_square", "full_grad_square", "dt", "dx1", "dx2", "none"]
+KINDS = [Nonlinearity(word) for word in NONLINEARITY_KINDS]
+KIND_IDS = ["full_grad_square", "spatial_grad_square", "dt", "dx1", "dx2", "none"]
 
 
 def picard_map(data, kind, cfg, u, u_t):
