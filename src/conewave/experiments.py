@@ -2,9 +2,9 @@
 
 Configs are flat INI files (sections of key = value pairs), checked against
 one schema per experiment kind before any work starts.  The volumes,
-constants, ledger and strichartz kinds run as independent seeded tasks over
-a worker pool, merged in task order; solve and scaling run in the calling
-process.  Numeric payloads are therefore byte-identical for a given
+constants and strichartz kinds run as independent seeded tasks over a
+worker pool, merged in task order; ledger, solve and scaling run in the
+calling process.  Numeric payloads are therefore byte-identical for a given
 (config, seed) regardless of worker count or scheduling.  Each run writes
 one CSV per result table plus a JSON manifest with per-file checksums.
 """
@@ -37,7 +37,7 @@ from .nlw_solver import (FULL_GRAD_SQUARE, NONLINEARITY_KINDS, CauchyData,
                          plancherel_energy, plancherel_l2, random_data,
                          rk4_solve, strichartz_ratio)
 from .norms import LebesgueExponents, scaling_law_check
-from .spectral_grid import PHYSICAL, TWO_PI, GridSpec, SpatialField, is_dyadic
+from .spectral_grid import PHYSICAL, GridSpec, SpatialField, is_dyadic
 from ._regression import fit_power_law
 from .trilinear_forms import AscentConfig, BallConeRegions, best_constant
 
@@ -145,6 +145,13 @@ def _check_volumes(values, cfg):
                           f"uint64, got {seed!r}", "experiment", "seed")
 
 
+def _check_solve(values, cfg):
+    nyquist = values["grid"]["nx"] // 2
+    if any(abs(k) >= nyquist for k in values["params"]["mode"]):
+        raise ConfigError(f"each |k| must lie below Nyquist {nyquist}, got "
+                          f"{cfg.section('params')['mode']!r}", "params", "mode")
+
+
 def _check_scaling(values, cfg):
     p = values["params"]
     pairs = list(zip(p["s"], p["r"]))
@@ -191,9 +198,9 @@ SCHEMAS = {
             "t_final": (FLOAT, 0.1, POSITIVE),
             "n_steps": (INT, 64, (">= 2", lambda n: n >= 2)),
             "picard_tol": (FLOAT, 1e-10, POSITIVE),
-            "picard_max": (INT, 30, AT_LEAST_1)}}, None, None),
+            "picard_max": (INT, 30, AT_LEAST_1)}}, None, _check_solve),
     "scaling": ({
-        "grid": {"nx": (INT, 32, GRID_SIZE), "nt": (INT, 8, GRID_SIZE)},
+        "grid": {"nx": (INT, 32, GRID_SIZE)},
         "params": {"s": (_list_of(RATIONAL), REQUIRED, None),
                    "r": (_list_of(RATIONAL), REQUIRED, LEBESGUE),
                    "lambda": (_list_of(INT, distinct=True), (2, 4), DYADIC),
@@ -358,17 +365,9 @@ def _affinity_count() -> int:
 # result serialization
 # ---------------------------------------------------------------------------
 
-def _fraction_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return _fraction_str(value)
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
@@ -447,26 +446,18 @@ def run_tasks(fn, task_kwargs: list, workers: int):
 # experiment drivers
 # ---------------------------------------------------------------------------
 
-def _grid_spec(grid: dict) -> GridSpec:
-    return GridSpec(nx=grid["nx"], nt=grid["nt"], spatial_period=TWO_PI,
-                    time_period=TWO_PI)
-
-
-def _ledger_point(r, s):
-    interval = feasible_b(r, s - 1)
-    return {"r": r, "s": s, "feasible": not interval.empty,
-            "b_lo": interval.lo, "b_hi": interval.hi}
-
-
 def _run_ledger(cfg: ExperimentConfig, workers: int):
+    del workers
     p = cfg.values["params"]
     step = (p["r_max"] - p["r_min"]) / p["r_count"]
-    tasks = [dict(r=r, s=VOLUME_EXPONENTS[HLH_HARD]["N1"] / r + 1 + off)
-             for r in (p["r_min"] + step * (i + 1) for i in range(p["r_count"]))
-             for off in p["s_offsets"]]
-    results, errors = run_tasks(_ledger_point, tasks, workers)
-    records = [r for r in results if r is not None]
-    return [("ledger.csv", records, ["r", "s", "feasible", "b_lo", "b_hi"])], errors
+    records = []
+    for r in (p["r_min"] + step * (i + 1) for i in range(p["r_count"])):
+        for off in p["s_offsets"]:
+            s = VOLUME_EXPONENTS[HLH_HARD]["N1"] / r + 1 + off
+            b = feasible_b(r, s - 1)
+            records.append({"r": r, "s": s, "feasible": not b.empty,
+                            "b_lo": b.lo, "b_hi": b.hi})
+    return [("ledger.csv", records, None)], []
 
 
 def _fit_sweep(label: str, axis: str, sweep: list, measured: str,
@@ -522,7 +513,7 @@ def _run_volumes(cfg: ExperimentConfig, workers: int):
 
 def _constant_point(nx, nt, N0, N1, N2, L1, L2, signs, r, restarts, max_iters,
                     tol, seed, sweep, axis):
-    grid = GridSpec(nx=nx, nt=nt, spatial_period=TWO_PI, time_period=TWO_PI)
+    grid = GridSpec(nx=nx, nt=nt)
     sign_values = tuple(+1 if s == "+" else -1 for s in signs)
     regions = BallConeRegions(N=(N0, N1, N2), L=(L1, L2), signs=sign_values)
     cfg = AscentConfig(restarts=restarts, max_iters=max_iters, tol=tol, seed=seed)
@@ -544,10 +535,11 @@ def _run_constants(cfg: ExperimentConfig, workers: int):
                                                          _CONSTANT_AXIS_NAMES):
         for val in values:
             for sgn_label, sgn in patterns:
-                tasks.append(dict(cfg.values["grid"], **cfg.values["ascent"],
-                                  seed=cfg.seed + 101 * len(tasks),
-                                  sweep=f"{sweep_name}:{sgn_label}", axis=axis,
-                                  signs=sgn, **dict(base, **{axis: val})))
+                # later keys win, so a point key replaces a grid or ascent key
+                tasks.append({**cfg.values["grid"], **cfg.values["ascent"],
+                              **base, axis: val, "signs": sgn,
+                              "seed": cfg.seed + 101 * len(tasks),
+                              "sweep": f"{sweep_name}:{sgn_label}", "axis": axis})
     results, errors = run_tasks(_constant_point, tasks, workers)
     records = [r_ for r_ in results if r_ is not None]
     key = ["sweep", "N0", "N1", "N2", "L1", "L2", "signs"]
@@ -605,7 +597,7 @@ def _trajectory_records(traj, oracle) -> list:
 
 def _run_solve(cfg: ExperimentConfig, workers: int):
     del workers
-    grid = _grid_spec(cfg.values["grid"])
+    grid = GridSpec(**cfg.values["grid"])
     p = cfg.values["params"]
     kind = Nonlinearity(p["nonlinearity"])
     solver_cfg = SolverConfig(T=p["t_final"], n_steps=p["n_steps"],
@@ -629,7 +621,8 @@ def _run_solve(cfg: ExperimentConfig, workers: int):
 
 def _run_scaling(cfg: ExperimentConfig, workers: int):
     del workers
-    grid = _grid_spec(cfg.values["grid"])
+    # the scaling check reads no time lattice, so nt is any valid size
+    grid = GridSpec(nx=cfg.values["grid"]["nx"], nt=8)
     p = cfg.values["params"]
     records = []
     for s, r in zip(p["s"], p["r"]):
@@ -647,7 +640,7 @@ def _strichartz_point(resolution, seed, q_t, nt, band_modes):
     band-limited to band_modes lattice steps, on the resolution x resolution
     grid."""
     s = 1.75
-    grid = GridSpec(nx=resolution, nt=nt, spatial_period=TWO_PI, time_period=1.0)
+    grid = GridSpec(nx=resolution, nt=nt, time_period=1.0)
     data = random_data(grid, s=s, r=2, seed=seed,
                        band_limit=grid.d_xi * band_modes)
     return strichartz_ratio(data, q_t, s=s)

@@ -42,7 +42,8 @@ def require_dyadic(name, value, minimum=1):
 class GridSpec:
     """Periodic space-time lattice: nt points in time, nx per spatial axis.
 
-    Frequency spacings are d_tau = 2*pi/time_period and d_xi =
+    Both periods default to 2*pi, the spatial period of every experiment
+    grid.  Frequency spacings are d_tau = 2*pi/time_period and d_xi =
     2*pi/spatial_period; the frequency lattice is the fftfreq integer
     lattice scaled by those spacings (the Nyquist row represents the
     +/- Nyquist frequency equivalently).
@@ -50,8 +51,8 @@ class GridSpec:
 
     nx: int
     nt: int
-    spatial_period: float
-    time_period: float
+    spatial_period: float = TWO_PI
+    time_period: float = TWO_PI
 
     def __post_init__(self):
         require_dyadic("nx", self.nx, minimum=8)
@@ -168,8 +169,9 @@ def _as_readonly(values, shape):
 
 
 @dataclass(frozen=True)
-class SpaceTimeField:
-    """Complex density on the (t, x) or (tau, xi) lattice of a GridSpec."""
+class _Field:
+    """Read-only complex density on a GridSpec lattice; a subclass gives the
+    lattice's _shape and the _forward_factor that transform applies."""
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
@@ -178,39 +180,31 @@ class SpaceTimeField:
     def __post_init__(self):
         if self.rep not in (PHYSICAL, FREQUENCY):
             raise ValueError(f"unknown representation {self.rep!r}")
-        object.__setattr__(self, "values", _as_readonly(self.values, self.grid.shape))
+        object.__setattr__(self, "values", _as_readonly(self.values, self._shape))
 
     def with_values(self, values, rep=None):
-        return SpaceTimeField(self.grid, values, self.rep if rep is None else rep)
+        return type(self)(self.grid, values, self.rep if rep is None else rep)
 
 
 @dataclass(frozen=True)
-class SpatialField:
-    """A SpaceTimeField without the time axis; carries Cauchy data and f-hat."""
+class SpaceTimeField(_Field):
+    """Complex density on the (t, x) or (tau, xi) lattice of a GridSpec."""
 
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
-    rep: str = PHYSICAL
+    _shape = property(lambda self: self.grid.shape)
+    _forward_factor = property(lambda self: self.grid.phys_cell / TWO_PI ** 1.5)
 
-    def __post_init__(self):
-        if self.rep not in (PHYSICAL, FREQUENCY):
-            raise ValueError(f"unknown representation {self.rep!r}")
-        object.__setattr__(self, "values",
-                           _as_readonly(self.values, self.grid.spatial_shape))
 
-    def with_values(self, values, rep=None):
-        return SpatialField(self.grid, values, self.rep if rep is None else rep)
+@dataclass(frozen=True)
+class SpatialField(_Field):
+    """Complex density on the x or xi lattice of a GridSpec (Cauchy data, f-hat)."""
+
+    _shape = property(lambda self: self.grid.spatial_shape)
+    _forward_factor = property(lambda self: self.grid.spatial_transform_factor)
 
 
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
-
-def _forward_factor(fld):
-    if isinstance(fld, SpaceTimeField):
-        return fld.grid.phys_cell / TWO_PI ** 1.5
-    return fld.grid.spatial_transform_factor
-
 
 def transform(fld, direction):
     """Exact forward ("forward": physical -> frequency) or inverse DFT.
@@ -224,7 +218,7 @@ def transform(fld, direction):
     if fld.rep != expected:
         raise ValueError(
             f"transform {direction!r} expects a {expected} field, got {fld.rep}")
-    factor = _forward_factor(fld)
+    factor = fld._forward_factor
     if direction == "forward":
         out = np.fft.fftn(fld.values) * factor
         return fld.with_values(out, rep=FREQUENCY)

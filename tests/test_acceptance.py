@@ -390,7 +390,6 @@ kind = scaling
 seed = 10
 [grid]
 nx = 16
-nt = 8
 [params]
 s = 7/4
 r = 2

@@ -538,7 +538,7 @@ def test_rk4_trajectory_holds_each_stack_once():
     batched inverse transform writes, not per-slice copies."""
     values = load_config(CONFIG_DIR / "solve.ini").values
     params = values["params"]
-    grid = experiments._grid_spec(values["grid"])
+    grid = GridSpec(**values["grid"])
     data = experiments._single_mode_data(grid, params["mode"], params["amplitude"])
     kind = Nonlinearity(params["nonlinearity"])
     cfg = SolverConfig(T=params["t_final"], n_steps=params["n_steps"])
@@ -810,6 +810,9 @@ def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw
     # the derivative's direction is part of the kind's word
     ("solve.ini", "params", "nonlinearity", "deriv_of_square"),
     ("solve.ini", "params", "mode", "1"),
+    # a mode at or beyond Nyquist nx // 2 = 8 ran as its lattice alias
+    ("solve.ini", "params", "mode", "8 0"),
+    ("solve.ini", "params", "mode", "0 -17"),
     ("constants.ini", "ascent", "restarts", "0"),
     ("constants.ini", "regions", "signs", "+ + x"),
     # a negative seed failed in the Philox key or default_rng, or ran
@@ -882,7 +885,9 @@ def _cli_config_error(tmp_path, capsys, config, text, extra=()):
     ("solve.ini", "params", "dealias = true", "dealias"),
     ("ledger.ini", "experiment", "workers = 2", "workers"),
     ("solve.ini", "grid", "d_xi = 1", "d_xi"),
-    ("scaling.ini", "grid", "d_xi = 1", "d_xi")])
+    ("scaling.ini", "grid", "d_xi = 1", "d_xi"),
+    # the scaling check reads no time lattice
+    ("scaling.ini", "grid", "nt = 8", "nt")])
 def test_cli_rejects_unknown_key_or_section(tmp_path, capsys, config, section,
                                             entry, key):
     # none of these keys or sections is in the kind's schema; each

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conewave import (FREQUENCY, PHYSICAL, GridSpec, SpaceTimeField,
-                      dyadic_restrict, transform)
+                      SpatialField, dyadic_restrict, transform)
 from conewave.frequency_geometry import BallCone
 from conewave.spectral_grid import (dyadic_band_values, region_mask,
                                     to_frequency, to_physical)
@@ -17,6 +17,11 @@ def test_grid_validation():
         GridSpec(nx=8, nt=4, spatial_period=1.0, time_period=1.0)
     with pytest.raises(ValueError):
         GridSpec(nx=8, nt=8, spatial_period=-1.0, time_period=1.0)
+
+
+def test_grid_periods_default_to_two_pi():
+    assert GridSpec(nx=8, nt=8) == GridSpec(nx=8, nt=8, spatial_period=2 * np.pi,
+                                            time_period=2 * np.pi)
 
 
 def test_frequency_lattice_symmetric(grid8):
@@ -155,3 +160,19 @@ def test_spatial_round_trip(grid8):
     fld = random_field(grid8, 11, rep=PHYSICAL, spatial=True)
     back = to_physical(to_frequency(fld))
     assert np.abs(back.values - fld.values).max() <= 1e-12 * np.abs(fld.values).max()
+
+
+def test_field_classes_stay_apart(grid8):
+    # the two classes share one body; neither is an instance of the other,
+    # each checks its own lattice shape and with_values keeps the class
+    cube = random_field(grid8, 12)
+    sheet = random_field(grid8, 13, spatial=True)
+    assert not isinstance(sheet, SpaceTimeField)
+    assert not isinstance(cube, SpatialField)
+    with pytest.raises(ValueError):
+        SpaceTimeField(grid8, sheet.values, FREQUENCY)
+    with pytest.raises(ValueError):
+        SpatialField(grid8, cube.values, FREQUENCY)
+    assert type(cube.with_values(cube.values, PHYSICAL)) is SpaceTimeField
+    assert type(sheet.with_values(sheet.values)) is SpatialField
+    assert type(transform(sheet, "inverse")) is SpatialField
