@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -453,8 +453,11 @@ def _hermitian_random_spectrum(grid: GridSpec, exponent: float, rng,
     u = rng.random((nx, nx))[keep]
     half = np.zeros((nx, nx), complex)
     half[keep] = (1.0 + r[keep] ** 2) ** (exponent / 2.0) * np.exp(1j * TWO_PI * u)
-    full = half + np.conj(flip_wrap(half))
+    full = flip_wrap(half)
+    np.conjugate(full, out=full)
+    full += half
     full[0, 0] = 1.0  # the weight <xi>^exponent at xi = 0
+    full.flags.writeable = False  # so that SpatialField keeps it uncopied
     return full
 
 
@@ -546,10 +549,15 @@ def _real_half_spectrum(fld: SpatialField) -> np.ndarray:
 
     Raises ValueError unless the spectrum equals the conjugate of its
     flip-wrap to 1e-12 of its largest magnitude, i.e. unless the field is
-    real; no transform is made for a frequency-represented field.
+    real; no transform is made for a frequency-represented field.  The check
+    works in one full-lattice temporary.
     """
     hat = to_frequency(fld).values
-    if np.abs(hat - np.conj(flip_wrap(hat))).max() > 1e-12 * np.abs(hat).max():
+    tmp = flip_wrap(hat)
+    np.conjugate(tmp, out=tmp)
+    np.subtract(hat, tmp, out=tmp)
+    gap = np.abs(tmp, out=tmp).real.max()
+    if gap > 1e-12 * np.abs(hat, out=tmp).real.max():
         raise ValueError("the dispersive probe needs real data: the spectrum "
                          "is not Hermitian")
     return hat[:, :fld.grid.nx // 2 + 1]
@@ -562,9 +570,72 @@ def _phases(indices, nx: int) -> np.ndarray:
     return (TWO_PI / nx) * (np.arange(nx)[:, None] * indices[None, :] % nx)
 
 
+@lru_cache(maxsize=1)
+def _synthesis_plan(grid: GridSpec, rows: tuple, cols: tuple):
+    """Read-only (cos_t, sin_t, e1, m) of the band rows x cols of the half
+    spectrum on grid: cos and sin of t|xi| over the band at each time of the
+    grid's time lattice, shape (nt, |R|, |C|), and the two synthesis
+    matrices of _squared_gradients.
+
+    They depend on the grid and the band only, so the members of a
+    strichartz ensemble, whose band is pinned, share one plan; the cache
+    keeps the last band's, which is all that a worker running one rung's
+    tasks in turn reads.
+    """
+    nx = grid.nx
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    tk = grid.t_axis[:, None, None] * grid.xi_magnitude()[rows[:, None], cols]
+    e1 = np.exp(1j * _phases(rows, nx)) / nx
+    # rows 2j and 2j + 1 of m meet Re and Im of column cols[j] in the
+    # float64 view of the stage-1 product
+    edge = (cols == 0) | (2 * cols == nx)
+    w = np.where(edge, 1.0, 2.0)[:, None] / nx
+    theta = _phases(cols, nx).T
+    m = np.empty((2 * len(cols), nx))
+    m[0::2] = w * np.cos(theta)
+    m[1::2] = np.where(edge[:, None], 0.0, -w * np.sin(theta))
+    plan = (np.cos(tk), np.sin(tk), e1, m)
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
+def _gradient_band(data: CauchyData):
+    """(rows, cols, a, b) for _squared_gradients: the rows R and
+    half-spectrum columns C where a = D f-hat or b = D g-hat/|xi| is
+    nonzero, as tuples, and a and b on that band, shape (2, |R|, |C|).
+    Each component of a and b is made on the full half lattice only to be
+    tested for zeros, one at a time."""
+    grid = data.grid
+    nx = grid.nx
+    half = nx // 2 + 1
+    k = grid.xi_magnitude()[:, :half]
+    inv_k = np.divide(1.0, k, out=np.zeros_like(k), where=k > 0)
+    spectra = (_real_half_spectrum(data.f),
+               inv_k * _real_half_spectrum(data.g))
+    xi = grid.xi_axis
+    xi[nx // 2] = 0.0
+    # D: d/dx1 down the rows and d/dx2 across the columns, with the inverse
+    # transform's 1/factor riding on the multipliers
+    deriv = (1j / grid.spatial_transform_factor) * xi
+    occupied = np.zeros((nx, half), dtype=bool)
+    for spectrum in spectra:
+        for d in (deriv[:, None], deriv[None, :half]):
+            occupied |= d * spectrum != 0
+    rows = np.flatnonzero(occupied.any(axis=1))
+    cols = np.flatnonzero(occupied.any(axis=0))
+    index = np.ix_(rows, cols)
+    a, b = (np.stack([d * spectrum[index]
+                      for d in (deriv[rows, None], deriv[None, cols])])
+            for spectrum in spectra)
+    return tuple(rows.tolist()), tuple(cols.tolist()), a, b
+
+
 def _squared_gradients(data: CauchyData):
     """Yield |grad u|^2 of the free solution at each time of the grid's
-    periodic time lattice, one real (nx, nx) array per slice.
+    periodic time lattice, one real (nx, nx) array per slice.  Every slice
+    is written into the same buffer, so a yielded array is valid only until
+    the next one is asked for: copy it to keep it.
 
     Real data only (ValueError otherwise).  With the derivative multipliers
     D = (i xi1, i xi2) premultiplied into a = D f-hat and b = D g-hat/|xi|,
@@ -581,7 +652,9 @@ def _squared_gradients(data: CauchyData):
     and -w_c sin of 2 pi c x / nx (the last-axis irfft), where w_c = 1/nx on
     column 0 and the Nyquist column, whose imaginary part irfft ignores, and
     2/nx elsewhere.  The slices agree with irfft2 to rounding (1e-13 of the
-    largest value at 256 x 256), not bit for bit.
+    largest value at 256 x 256), not bit for bit.  The band is found by
+    _gradient_band; the cos/sin tables and the two matrices come from
+    _synthesis_plan, built once per grid and band.
 
     Cost per slice: about 2 nx |R| |C| complex and 4 nx^2 |C| real
     multiply-adds, which grow with the band; irfft2 costs O(nx^2 log nx)
@@ -591,48 +664,28 @@ def _squared_gradients(data: CauchyData):
     strichartz ladder makes (0.4 nx) takes about 1.4 times it, and data
     that fill the spectrum about 3 times.
     """
-    grid = data.grid
-    nx = grid.nx
-    half = nx // 2 + 1
-    f_half = _real_half_spectrum(data.f)
-    g_half = _real_half_spectrum(data.g)
-    k = grid.xi_magnitude()[:, :half]
-    inv_k = np.divide(1.0, k, out=np.zeros_like(k), where=k > 0)
-    xi = grid.xi_axis
-    xi[nx // 2] = 0.0
-    # the inverse transform's 1/factor rides on the multipliers
-    deriv = (1j / grid.spatial_transform_factor) * np.stack(
-        np.broadcast_arrays(xi[:, None], xi[None, :half]))
-    a = deriv * f_half
-    b = deriv * (inv_k * g_half)
-    occupied = ((a != 0) | (b != 0)).any(axis=0)
-    rows = np.flatnonzero(occupied.any(axis=1))
-    cols = np.flatnonzero(occupied.any(axis=0))
-    a, b, k = (arr[..., rows[:, None], cols] for arr in (a, b, k))
-    e1 = np.exp(1j * _phases(rows, nx)) / nx
-    # rows 2j and 2j + 1 of m meet Re and Im of column cols[j] in the
-    # float64 view of the stage-1 product
-    edge = (cols == 0) | (2 * cols == nx)
-    w = np.where(edge, 1.0, 2.0)[:, None] / nx
-    theta = _phases(cols, nx).T
-    m = np.empty((2 * len(cols), nx))
-    m[0::2] = w * np.cos(theta)
-    m[1::2] = np.where(edge[:, None], 0.0, -w * np.sin(theta))
+    rows, cols, a, b = _gradient_band(data)
+    cos_t, sin_t, e1, m = _synthesis_plan(data.grid, rows, cols)
+    nx = data.grid.nx
+    band = np.empty_like(a)
     z = np.empty((2, nx, len(cols)), complex)
     grad = np.empty((2, nx, nx))
-    for t in grid.t_axis:
-        tk = t * k
-        np.matmul(e1, np.cos(tk) * a + np.sin(tk) * b, out=z)
+    for cos_tk, sin_tk in zip(cos_t, sin_t):
+        np.multiply(cos_tk, a, out=band)
+        band += sin_tk * b
+        np.matmul(e1, band, out=z)
         np.matmul(z.view(np.float64), m, out=grad)
         np.square(grad, out=grad)
-        yield grad[0] + grad[1]
+        yield np.add(grad[0], grad[1], out=grad[0])
 
 
 def gradient_magnitude_trajectory(data: CauchyData) -> SpaceTimeField:
     """|grad u|(t, x) of the free solution on the grid's periodic time
     lattice, for real data (see _squared_gradients)."""
-    stack = np.stack(list(_squared_gradients(data)))
-    return SpaceTimeField(data.grid, np.sqrt(stack, out=stack), PHYSICAL)
+    stack = np.empty(data.grid.shape)
+    for out, squared in zip(stack, _squared_gradients(data)):
+        np.sqrt(squared, out=out)
+    return SpaceTimeField(data.grid, stack, PHYSICAL)
 
 
 def strichartz_ratio(data: CauchyData, q_t: float, s: float = 1.75) -> float:
@@ -640,10 +693,12 @@ def strichartz_ratio(data: CauchyData, q_t: float, s: float = 1.75) -> float:
 
     R = |grad u|_{L^{q_t}_t L^inf_x} / (|f|_{H^s} + |g|_{H^{s-1}}), the
     space-time norm taken over one period of the data's grid.  Each slice
-    of |grad u|^2 is reduced to its lattice max as it is made, so the
-    (nt, nx, nx) stack is never held, and the square root is taken of the
-    maxima only: sqrt is monotone and correctly rounded, so that equals the
-    max of the root.
+    of |grad u|^2 is reduced to its lattice max in the buffer it is made in,
+    so the (nt, nx, nx) stack is never held, and the square root is taken
+    of the maxima only: sqrt is monotone and correctly rounded, so that
+    equals the max of the root.  The band's synthesis plan is built once per
+    grid and band (_synthesis_plan) and |xi| once per lattice, so the
+    members of an ensemble on one grid share both.
     """
     maxima = np.sqrt([slice_.max() for slice_ in _squared_gradients(data)])
     num = _temporal_norm(maxima, q_t, data.grid.dt)

@@ -38,6 +38,10 @@ def require_dyadic(name, value, minimum=1):
     return int(value)
 
 
+# (nx, spatial_period) -> read-only |xi| of the last lattice asked for
+_XI_MAGNITUDE: dict = {}
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic space-time lattice: nt points in time, nx per spatial axis.
@@ -115,9 +119,20 @@ class GridSpec:
                            indexing="ij", sparse=True)
 
     def xi_magnitude(self) -> np.ndarray:
-        """|xi| on the spatial frequency lattice, shape (nx, nx)."""
-        x1, x2 = self.spatial_frequency_mesh()
-        return np.sqrt(x1 ** 2 + x2 ** 2)
+        """|xi| on the spatial frequency lattice, shape (nx, nx), read-only.
+
+        One array is shared by every grid of the same nx and spatial period
+        (nt and the time period do not enter), and only the last lattice's
+        is kept, so a run over one lattice computes it once.
+        """
+        key = (self.nx, self.spatial_period)
+        if key not in _XI_MAGNITUDE:
+            x1, x2 = self.spatial_frequency_mesh()
+            mag = np.sqrt(x1 ** 2 + x2 ** 2)
+            mag.flags.writeable = False
+            _XI_MAGNITUDE.clear()
+            _XI_MAGNITUDE[key] = mag
+        return _XI_MAGNITUDE[key]
 
     # Quadrature cells for Riemann sums.
     @property

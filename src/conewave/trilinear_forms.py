@@ -239,10 +239,14 @@ def best_constant(grid: GridSpec, A0, A1, A2, r,
 
     for restart in range(config.restarts):
         rng = np.random.default_rng((config.seed, restart))
-        starts = (rng.random(grid.shape) for _ in slots)
-        # an update reads the other slots only through their spectra
-        spectra = [_line_spectrum(_normalize(s.restrict(v), q, w), s, buf)
-                   for v, s, buf, q in zip(starts, slots, buffers, q_slot)]
+        # an update reads the other slots only through their spectra, and
+        # update 0 reads slots 1 and 2 only: slot 0's start is drawn, so that
+        # the later slots' streams stay put, but never transformed
+        rng.random(grid.shape)
+        spectra = [None] + [
+            _line_spectrum(_normalize(s.restrict(rng.random(grid.shape)), q, w),
+                           s, buf)
+            for s, buf, q in zip(slots[1:], buffers[1:], q_slot[1:])]
 
         value = -math.inf
         trace = []

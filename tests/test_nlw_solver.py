@@ -708,6 +708,52 @@ def test_strichartz_ratio_matches_per_slice_reference(nx):
     assert strichartz_ratio(data, q_t) == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def test_synthesis_plan_built_once_per_band():
+    # two data on one band: the second reuses the first's plan
+    grid = GridSpec(nx=32, nt=8, time_period=1.0)
+    nlw_solver._synthesis_plan.cache_clear()
+    for seed in (1, 2):
+        data = random_data(grid, s=1.75, r=2, seed=seed, band_limit=5.0)
+        strichartz_ratio(data, q_t=4.0)
+    info = nlw_solver._synthesis_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    plan = nlw_solver._synthesis_plan(grid, (0, 1, 31), (0, 1))
+    assert [arr.shape for arr in plan] == [(8, 3, 2), (8, 3, 2), (32, 3), (4, 32)]
+    for arr in plan:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0.0
+
+
+def test_strichartz_ratio_same_with_cold_and_warm_caches():
+    grid = GridSpec(nx=64, nt=16, time_period=1.0)
+    data = [random_data(grid, s=1.75, r=2, seed=seed,
+                        band_limit=grid.d_xi * 12.8) for seed in (5, 6)]
+    cold = []
+    for datum in data:
+        nlw_solver._synthesis_plan.cache_clear()
+        spectral_grid._XI_MAGNITUDE.clear()
+        cold.append(strichartz_ratio(datum, q_t=4.0))
+    # both data occupy one band, so each of these reads the cached plan
+    warm = [strichartz_ratio(datum, q_t=4.0) for datum in data]
+    assert nlw_solver._synthesis_plan.cache_info().hits == 2
+    assert warm == cold
+
+
+def test_gradient_magnitude_slices_are_distinct_copies():
+    grid = GridSpec(nx=16, nt=8, time_period=1.0)
+    data = random_data(grid, s=1.75, r=2, seed=9, band_limit=5.0)
+    # the generator writes every slice into one reused buffer ...
+    buffers = list(nlw_solver._squared_gradients(data))
+    assert all(np.shares_memory(buf, buffers[0]) for buf in buffers)
+    want = np.sqrt([buf.copy() for buf in nlw_solver._squared_gradients(data)])
+    got = gradient_magnitude_trajectory(data).values
+    # ... and the trajectory keeps a root of each slice in its own stack
+    assert np.array_equal(got, want)
+    assert not np.shares_memory(got, buffers[0])
+    assert all(not np.array_equal(a, b) for a, b in zip(got, got[1:]))
+
+
 def full_stack_gradient_magnitudes(data):
     """|grad u| per slice as one irfft2 of the whole (2, nx, nx/2+1) stack
     cos(t|xi|) a + sin(t|xi|) b, with a and b formed as the probe forms

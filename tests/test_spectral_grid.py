@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conewave import (FREQUENCY, PHYSICAL, GridSpec, SpaceTimeField,
-                      SpatialField, dyadic_restrict, transform)
+                      SpatialField, dyadic_restrict, spectral_grid, transform)
 from conewave.frequency_geometry import BallCone
 from conewave.spectral_grid import (dyadic_band_values, region_mask,
                                     to_frequency, to_physical)
@@ -22,6 +22,23 @@ def test_grid_validation():
 def test_grid_periods_default_to_two_pi():
     assert GridSpec(nx=8, nt=8) == GridSpec(nx=8, nt=8, spatial_period=2 * np.pi,
                                             time_period=2 * np.pi)
+
+
+def test_xi_magnitude_is_one_read_only_array_per_lattice():
+    grid = GridSpec(nx=32, nt=8)
+    mag = grid.xi_magnitude()
+    x1, x2 = grid.spatial_frequency_mesh()
+    assert not mag.flags.writeable
+    assert mag.dtype == np.float64 and mag.shape == grid.spatial_shape
+    assert np.array_equal(mag, np.sqrt(x1 ** 2 + x2 ** 2))
+    # nt and the time period do not enter |xi|
+    for other in (GridSpec(nx=32, nt=64), GridSpec(nx=32, nt=8, time_period=1.0)):
+        assert other.xi_magnitude() is mag
+    # another lattice replaces the one cached entry
+    half = GridSpec(nx=32, nt=8, spatial_period=np.pi).xi_magnitude()
+    assert np.array_equal(half, 2 * mag)
+    assert len(spectral_grid._XI_MAGNITUDE) == 1
+    assert grid.xi_magnitude() is not mag
 
 
 def test_frequency_lattice_symmetric(grid8):
