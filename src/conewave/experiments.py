@@ -465,7 +465,8 @@ def _fit_sweep(label: str, axis: str, sweep: list, measured: str,
     """Axis and power-law fit of one ladder's measured values against its
     axis values, from its rows in order.  None when a task failed, whose
     error errors already holds, or when the fit fails, which is added to
-    errors as <label>: <message>."""
+    errors as <label>: <message>.  The fit's exponent_se is not written to
+    any result table."""
     if None in sweep:
         return None
     try:
@@ -489,6 +490,10 @@ def _volume_point(case: str, point: dict, samples: int, seed: int) -> dict:
 
 
 def _run_volumes(cfg: ExperimentConfig, workers: int):
+    """volumes.csv and volume_fits.csv of one case: one pool task per sweep
+    point, each sampling its own stream (_volume_seed), then each sweep fit
+    in this process.  The hit counts do not depend on the worker count, the
+    scheduling or Intersect's evaluation order."""
     p = cfg.values["params"]
     sweeps = _parse_sweeps(cfg.values, _VOLUME_AXIS_NAMES)
     tasks = [dict(case=p["case"], point=dict(base, **{axis: value}),
@@ -579,7 +584,14 @@ def _single_mode_data(grid: GridSpec, mode, amplitude: float) -> CauchyData:
 def _trajectory_records(traj, oracle) -> list:
     """trajectory.csv rows: L2 norms and energies of the Picard trajectory
     and the RK4 oracle at each time, and the L2 norm of their difference in
-    u, one vectorised pass per column over the spectral stacks (Plancherel)."""
+    u, one vectorised pass per column over the spectral stacks (Plancherel),
+    with no transform.
+
+    abs_diff_l2 is rounding noise by design where the two solvers agree to
+    rounding (about 1e-18 at the shipped solve config): any change in the
+    order of floating-point work moves it by a large relative amount, so a
+    comparison with reference tables gives it an absolute tolerance.
+    """
     grid = traj.grid
     picard_u, picard_ut = plancherel_l2(grid, traj.hats)
     columns = {
@@ -596,6 +608,11 @@ def _trajectory_records(traj, oracle) -> list:
 
 
 def _run_solve(cfg: ExperimentConfig, workers: int):
+    """trajectory.csv, summary.csv and residuals.csv of one Picard solve and
+    its RK4 oracle on single-mode data.  summary.csv's final_residual, the
+    last Picard increment (about 5e-16 at the shipped config), is rounding
+    noise like abs_diff_l2 (see _trajectory_records) and is likewise compared
+    with an absolute tolerance."""
     del workers
     grid = GridSpec(**cfg.values["grid"])
     p = cfg.values["params"]

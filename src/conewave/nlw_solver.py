@@ -329,7 +329,9 @@ def picard_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig):
     Returns the last iterate and a report; non-convergence is reported, not
     raised (it signals leaving the contraction regime).  The next iterate
     is the free evolution of the data plus the Duhamel data of the forcing,
-    which is taken over blocks of slices to bound the temporaries.
+    which is taken over blocks of slices to bound the temporaries.  The
+    half-wave tables are built once per solve, and the residual is one
+    Plancherel reduction per stack.
     """
     grid = data.grid
     times = config.times
@@ -369,7 +371,9 @@ def rk4_solve(data: CauchyData, kind: Nonlinearity, config: SolverConfig) -> Tra
     """Classical 4th-order method-of-lines oracle on the system (u, du/dt).
 
     Norm blow-up (spectral CFL violation or genuine divergence) is flagged
-    in the trajectory metadata rather than raised.
+    in the trajectory metadata rather than raised.  The right-hand side runs
+    Picard's forcing code (_forcing_hat) on single slices, so as an oracle
+    RK4 checks the time integration, not the forcing.
     """
     grid = data.grid
     x1, x2 = grid.spatial_frequency_mesh()
@@ -497,7 +501,8 @@ def existence_probe(data: CauchyData, kind: Nonlinearity, config: SolverConfig,
                     amplitudes, bisect_steps: int = 10) -> ExistenceProbe:
     """Convergence table of the fixed-point solver over an amplitude sweep
     of the linearly scaled data.  When the sweep brackets a loss of
-    convergence the threshold is refined by bisection.
+    convergence the threshold is refined by bisection.  No solve's
+    physical slices are read, so the probe makes no output transform.
     """
     amplitudes = list(amplitudes)
     if any(b <= a for a, b in zip(amplitudes, amplitudes[1:])):
@@ -659,10 +664,10 @@ def _squared_gradients(data: CauchyData):
     Cost per slice: about 2 nx |R| |C| complex and 4 nx^2 |C| real
     multiply-adds, which grow with the band; irfft2 costs O(nx^2 log nx)
     whatever the band.  The shipped strichartz band (12.8 lattice steps)
-    occupies 25 rows and 13 columns at every rung, where the products take
-    about a third of the transform's time at 256 x 256; the widest band a
-    strichartz ladder makes (0.4 nx) takes about 1.4 times it, and data
-    that fill the spectrum about 3 times.
+    occupies 25 rows and 13 columns (of 129 at 256 x 256) at every rung,
+    where the products take about a third of the transform's time at
+    256 x 256; the widest band a strichartz ladder makes (0.4 nx) takes
+    about 1.4 times it, and data that fill the spectrum about 3 times.
     """
     rows, cols, a, b = _gradient_band(data)
     cos_t, sin_t, e1, m = _synthesis_plan(data.grid, rows, cols)

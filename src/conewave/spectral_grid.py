@@ -123,7 +123,8 @@ class GridSpec:
 
         One array is shared by every grid of the same nx and spatial period
         (nt and the time period do not enter), and only the last lattice's
-        is kept, so a run over one lattice computes it once.
+        is kept, so a run over one lattice computes it once; the random
+        data, the data norms and the dispersive probe all read it.
         """
         key = (self.nx, self.spatial_period)
         if key not in _XI_MAGNITUDE:

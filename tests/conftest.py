@@ -17,12 +17,12 @@ DEALIASED = pytest.mark.parametrize("dealiased", [True])
 
 @pytest.fixture
 def grid8():
-    return GridSpec(nx=8, nt=8, spatial_period=2 * np.pi, time_period=2 * np.pi)
+    return GridSpec(nx=8, nt=8)
 
 
 @pytest.fixture
 def grid16():
-    return GridSpec(nx=16, nt=16, spatial_period=2 * np.pi, time_period=2 * np.pi)
+    return GridSpec(nx=16, nt=16)
 
 
 def random_field(grid, seed, rep=FREQUENCY, spatial=False):

@@ -134,8 +134,7 @@ def _measure_constant(grid, N, L, signs, seed):
 
 
 def test_criterion_4_constant_exponents_and_signs():
-    grid = GridSpec(nx=32, nt=64, spatial_period=2 * math.pi,
-                    time_period=2 * math.pi)
+    grid = GridSpec(nx=32, nt=64)
     plus, minus = [], []
     for i, L1 in enumerate((1, 2, 4, 8)):
         plus.append(_measure_constant(grid, (32, 8, 16), (L1, 8),
@@ -166,8 +165,7 @@ def test_criterion_4_constant_exponents_and_signs():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_trilinear_oracle():
-    grid = GridSpec(nx=8, nt=8, spatial_period=2 * math.pi,
-                    time_period=2 * math.pi)
+    grid = GridSpec(nx=8, nt=8)
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -188,8 +186,7 @@ def test_criterion_5_trilinear_oracle():
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_solver():
-    grid = GridSpec(nx=16, nt=8, spatial_period=2 * math.pi,
-                    time_period=2 * math.pi)
+    grid = GridSpec(nx=16, nt=8)
     x = grid.x_axis
     x1, _ = np.meshgrid(x, x, indexing="ij")
     data = CauchyData(
@@ -251,8 +248,7 @@ def test_criterion_6_solver():
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_scaling_law():
-    grid = GridSpec(nx=32, nt=8, spatial_period=2 * math.pi,
-                    time_period=2 * math.pi)
+    grid = GridSpec(nx=32, nt=8)
     rng = np.random.default_rng(701)
     vals = np.zeros(grid.spatial_shape, dtype=complex)
     for k1 in range(-5, 6):
@@ -297,8 +293,7 @@ def test_criterion_8_strichartz_slope(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_criterion_9_partition_identities():
-    grid = GridSpec(nx=16, nt=16, spatial_period=2 * math.pi,
-                    time_period=2 * math.pi)
+    grid = GridSpec(nx=16, nt=16)
     worst_n = 0.0
     worst_l = 0.0
     p = 2.0

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -31,6 +32,7 @@ from conftest import DEALIASED
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src"
+README = CONFIG_DIR.parent / "README.md"
 
 
 def read_csv(path):
@@ -498,8 +500,7 @@ def test_trajectory_records_match_per_slice_norms(kind, dealiased):
     # two Picard iterations and four RK4 steps keep the two solutions apart
     # by more than 1e-3 relative after t = 0, so that abs_diff_l2 is not a
     # cancellation and is compared relatively like the other columns
-    grid = GridSpec(nx=16, nt=8, spatial_period=2 * math.pi,
-                    time_period=2 * math.pi)
+    grid = GridSpec(nx=16, nt=8)
     data = random_data(grid, s=0.5, r=2, seed=5, band_limit=5.0).scaled(0.3)
     cfg = SolverConfig(T=1.0, n_steps=4, picard_max=2)
     traj, _ = picard_solve(data, kind, cfg)
@@ -1046,6 +1047,28 @@ def test_manifest_config_echo_round_trips(tmp_path, config):
         assert data == (tmp_path / "b" / entry["name"]).read_bytes()
         # records counts the rows written: the data lines below the header
         assert entry["records"] == data.count(b"\n") - 1
+
+
+def _readme_config_keys(text):
+    """(kind, section, key) named by each row of README's Config keys table."""
+    table = text.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    named = set()
+    for line in table.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if cells[0] in experiments.SCHEMAS:
+            section = re.match(r"`\[(\S+)\] ", cells[1]).group(1)
+            named.update((cells[0], section, key)
+                         for key in re.findall(r"(\w+)`", cells[1]))
+    return named
+
+
+def test_readme_config_table_matches_schemas():
+    want = set()
+    for kind, (tables, axes, _) in experiments.SCHEMAS.items():
+        want.update((kind, section, key)
+                    for section, keys in tables.items() for key in keys)
+        want.update((kind, "sweep.<name>", axis.lower()) for axis in axes or ())
+    assert _readme_config_keys(README.read_text(encoding="utf-8")) == want
 
 
 def test_cli_rejects_misspelled_constants_sweep_key(tmp_path, capsys):

@@ -93,8 +93,7 @@ def test_intersect_contains_equals_and_of_members(cfg):
 
 
 def test_intersect_region_mask_equals_and_of_member_masks():
-    grid = GridSpec(nx=32, nt=64, spatial_period=2 * math.pi,
-                    time_period=2 * math.pi)
+    grid = GridSpec(nx=32, nt=64)
     reg = Intersect((BallCone(+1, 8, 4), AnnularCone(+1, 4, 8),
                      Translate(Reflect(BallCone(+1, 16, 8)), (20.0, 12.0, 0.0))))
     mask = region_mask(grid, reg)

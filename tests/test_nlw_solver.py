@@ -20,8 +20,7 @@ from conftest import DEALIASED, count_fft_calls
 
 
 def make_grid(nx=16, nt=8):
-    return GridSpec(nx=nx, nt=nt, spatial_period=2 * math.pi,
-                    time_period=2 * math.pi)
+    return GridSpec(nx=nx, nt=nt)
 
 
 def mode_data(grid, k=(1, 0), amplitude=1.0, g_amplitude=0.0):
@@ -430,7 +429,7 @@ def test_gradient_magnitude_transform_count(transform_calls, monkeypatch):
     # frequency-represented data: the slices are summed by matrix products,
     # with no np.fft call and no spectral_grid.transform
     fft_calls = count_fft_calls(monkeypatch, nlw_solver)
-    grid = GridSpec(nx=16, nt=8, spatial_period=2 * math.pi, time_period=1.0)
+    grid = GridSpec(nx=16, nt=8, time_period=1.0)
     data = random_data(grid, s=1.75, r=2, seed=9, band_limit=5.0)
     gradient_magnitude_trajectory(data)
     strichartz_ratio(data, q_t=4.0)
@@ -687,7 +686,7 @@ def test_wave_admissibility():
 
 
 def test_gradient_magnitude_trajectory_matches_per_slice_reference():
-    grid = GridSpec(nx=16, nt=8, spatial_period=2 * math.pi, time_period=1.0)
+    grid = GridSpec(nx=16, nt=8, time_period=1.0)
     data = random_data(grid, s=1.75, r=2, seed=9, band_limit=5.0)
     got = gradient_magnitude_trajectory(data).values
     for j, t in enumerate(grid.t_axis):
@@ -699,7 +698,7 @@ def test_gradient_magnitude_trajectory_matches_per_slice_reference():
 
 @pytest.mark.parametrize("nx", [16, 32])
 def test_strichartz_ratio_matches_per_slice_reference(nx):
-    grid = GridSpec(nx=nx, nt=16, spatial_period=2 * math.pi, time_period=1.0)
+    grid = GridSpec(nx=nx, nt=16, time_period=1.0)
     data = random_data(grid, s=1.75, r=2, seed=nx + 3, band_limit=0.4 * nx)
     q_t = 4.5
     maxima = np_gradient_magnitudes(data).max(axis=(1, 2))
@@ -788,7 +787,7 @@ def test_pruned_gradient_magnitudes_match_full_stack(data_kind):
     makes, 0.4 nx on a one-rung ladder at nx = 256, and physical random
     data (whose Nyquist column d/dx1 keeps) occupy far more.
     """
-    grid = GridSpec(nx=256, nt=8, spatial_period=2 * math.pi, time_period=1.0)
+    grid = GridSpec(nx=256, nt=8, time_period=1.0)
     if data_kind == "physical":
         rng = np.random.default_rng(23)
         data = CauchyData(
@@ -807,7 +806,7 @@ def test_pruned_gradient_magnitudes_match_full_stack(data_kind):
 
 def test_gradient_magnitudes_drop_nyquist_modes():
     # real physical data fill the Nyquist row and column of the spectrum
-    grid = GridSpec(nx=16, nt=8, spatial_period=2 * math.pi, time_period=1.0)
+    grid = GridSpec(nx=16, nt=8, time_period=1.0)
     rng = np.random.default_rng(12)
     data = CauchyData(SpatialField(grid, rng.standard_normal((16, 16)), PHYSICAL),
                       SpatialField(grid, rng.standard_normal((16, 16)), PHYSICAL))
@@ -820,7 +819,7 @@ def test_gradient_magnitudes_drop_nyquist_modes():
 
 
 def test_gradient_magnitudes_reject_complex_data():
-    grid = GridSpec(nx=16, nt=8, spatial_period=2 * math.pi, time_period=1.0)
+    grid = GridSpec(nx=16, nt=8, time_period=1.0)
     rng = np.random.default_rng(13)
     real = SpatialField(grid, rng.standard_normal((16, 16)), PHYSICAL)
     complex_ = SpatialField(grid, rng.standard_normal((16, 16))
@@ -835,8 +834,7 @@ def test_gradient_magnitudes_reject_complex_data():
 def test_strichartz_ratio_plane_wave_constant_across_resolutions():
     ratios = []
     for nx in (32, 64):
-        grid = GridSpec(nx=nx, nt=64, spatial_period=2 * math.pi,
-                        time_period=1.0)
+        grid = GridSpec(nx=nx, nt=64, time_period=1.0)
         x = grid.x_axis
         x1, _ = np.meshgrid(x, x, indexing="ij")
         f = SpatialField(grid, np.cos(x1), PHYSICAL)

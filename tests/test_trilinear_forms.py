@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -90,8 +89,7 @@ class _PointRegion:
 
 
 def _small_grid():
-    return GridSpec(nx=8, nt=8, spatial_period=2 * math.pi,
-                    time_period=2 * math.pi)
+    return GridSpec(nx=8, nt=8)
 
 
 def test_best_constant_single_point_closed_form():
@@ -185,8 +183,7 @@ def test_best_constant_tracks_easy_shape_across_octaves():
     # constants follow the saturated bound shape N_min^(2/p) L_min^(1/r),
     # which at r = 2 and fixed L reduces to N_min, within a factor 2 across
     # two octaves of N
-    grid = GridSpec(nx=16, nt=16, spatial_period=2 * math.pi,
-                    time_period=2 * math.pi)
+    grid = GridSpec(nx=16, nt=16)
     L_span = 16     # dyadic, >= twice the tau range of this lattice
     e = hlh_exponents(HLH_EASY, 2)
     ratios = []
@@ -219,8 +216,7 @@ def _lattice_sum_kernel(a, b):
 
 
 def test_effective_kernel_matches_lattice_sum():
-    grid = GridSpec(nx=8, nt=16, spatial_period=2 * math.pi,
-                    time_period=2 * math.pi)
+    grid = GridSpec(nx=8, nt=16)
     rng = np.random.default_rng(7)
     f0, a, b = (rng.random(grid.shape) for _ in range(3))
     expected = _lattice_sum_kernel(a, b)
@@ -286,8 +282,10 @@ def test_pruned_transforms_equal_full_transforms(kind):
 
 
 def _complex_fft_kernel(a, b):
-    """The previous kernel: cyclic convolution by complex FFTs, flip-wrapped,
-    on the whole lattice."""
+    """Independent reference for the ascent kernel: the flip-wrapped cyclic
+    convolution of a and b by complex FFTs on the full lattice, which
+    test_best_constant_matches_complex_fft_kernel compares the pruned real
+    transforms of _line_spectrum and _line_kernel against."""
     conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
     g = np.roll(conv[::-1, ::-1, ::-1], shift=(1, 1, 1), axis=(0, 1, 2)).real
     np.maximum(g, 0.0, out=g)
@@ -308,8 +306,7 @@ def _dense(block, lines):
     ((32, 2, 16), (2, 2), (+1, +1, -1)),
 ])
 def test_best_constant_matches_complex_fft_kernel(monkeypatch, N, L, signs):
-    grid = GridSpec(nx=16, nt=32, spatial_period=2 * math.pi,
-                    time_period=2 * math.pi)
+    grid = GridSpec(nx=16, nt=32)
     regions = BallConeRegions(N=N, L=L, signs=signs)
     cfg = AscentConfig(restarts=2, max_iters=40, tol=1e-7, seed=11)
 
