@@ -186,9 +186,10 @@ SCHEMAS = {
         "regions": {"signs": (SIGNS, ("+", "+", "+"), None),
                     "compare_signs": (SIGNS, None, None)},
         "ascent": {"r": (RATIONAL, Fraction(2), LEBESGUE),
-                   "restarts": (INT, 6, AT_LEAST_1),
-                   "max_iters": (INT, 60, AT_LEAST_1),
-                   "tol": (FLOAT, 1e-7, POSITIVE)}}, _CONSTANT_AXIS_NAMES, None),
+                   "restarts": (INT, AscentConfig.restarts, AT_LEAST_1),
+                   "max_iters": (INT, AscentConfig.max_iters, AT_LEAST_1),
+                   "tol": (FLOAT, AscentConfig.tol, POSITIVE)}},
+        _CONSTANT_AXIS_NAMES, None),
     "solve": ({
         "grid": {"nx": (INT, 16, GRID_SIZE), "nt": (INT, 8, GRID_SIZE)},
         "params": {
@@ -197,8 +198,9 @@ SCHEMAS = {
             "mode": (_list_of(INT, length=2), (1, 0), None),
             "t_final": (FLOAT, 0.1, POSITIVE),
             "n_steps": (INT, 64, (">= 2", lambda n: n >= 2)),
-            "picard_tol": (FLOAT, 1e-10, POSITIVE),
-            "picard_max": (INT, 30, AT_LEAST_1)}}, None, _check_solve),
+            "picard_tol": (FLOAT, SolverConfig.picard_tol, POSITIVE),
+            "picard_max": (INT, SolverConfig.picard_max, AT_LEAST_1)}},
+        None, _check_solve),
     "scaling": ({
         "grid": {"nx": (INT, 32, GRID_SIZE)},
         "params": {"s": (_list_of(RATIONAL), REQUIRED, None),

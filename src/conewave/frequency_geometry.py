@@ -89,7 +89,6 @@ def _radius(xi1, xi2):
     return np.sqrt(r, out=r)
 
 
-@dataclass(frozen=True)
 class BallCone(_Cone):
     """K(sign, N, L): |xi| <= N, sign*tau >= 0, |tau - sign*|xi|| <= L."""
 
@@ -105,7 +104,6 @@ class BallCone(_Cone):
         return (t, (-self.N, self.N), (-self.N, self.N))
 
 
-@dataclass(frozen=True)
 class AnnularCone(_Cone):
     """K-annular: |xi| in [N, 2N), sign*tau >= 0, |tau - sign*|xi|| <= L."""
 

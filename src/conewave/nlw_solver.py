@@ -77,12 +77,13 @@ class Nonlinearity:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time grid and iteration controls."""
+    """Time grid and iteration controls; the Picard defaults are the CLI's
+    solve defaults."""
 
     T: float
     n_steps: int
     picard_tol: float = 1e-10
-    picard_max: int = 50
+    picard_max: int = 30
 
     def __post_init__(self):
         if not (self.T > 0 and self.n_steps >= 2 and self.picard_tol > 0):

@@ -202,7 +202,6 @@ class _Field:
         return type(self)(self.grid, values, self.rep if rep is None else rep)
 
 
-@dataclass(frozen=True)
 class SpaceTimeField(_Field):
     """Complex density on the (t, x) or (tau, xi) lattice of a GridSpec."""
 
@@ -210,7 +209,6 @@ class SpaceTimeField(_Field):
     _forward_factor = property(lambda self: self.grid.phys_cell / TWO_PI ** 1.5)
 
 
-@dataclass(frozen=True)
 class SpatialField(_Field):
     """Complex density on the x or xi lattice of a GridSpec (Cauchy data, f-hat)."""
 

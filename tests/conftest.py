@@ -9,12 +9,6 @@ import pytest
 from conewave import FREQUENCY, GridSpec, SpaceTimeField, SpatialField
 
 
-
-# The solver always applies the 2/3 de-aliasing rule.  Its checks carry the
-# one `True` value in their case ids, which marks them as checks of that
-# de-aliased path and keeps the ids they had when the rule was an option.
-DEALIASED = pytest.mark.parametrize("dealiased", [True])
-
 @pytest.fixture
 def grid8():
     return GridSpec(nx=8, nt=8)

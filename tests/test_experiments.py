@@ -28,7 +28,6 @@ from conewave.frequency_geometry import (HLH_HARD, region_volume_mc,
 from conewave.nlw_solver import NONLINEARITY_KINDS
 from conewave.norms import spatial_l2
 
-from conftest import DEALIASED
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src"
@@ -492,11 +491,10 @@ def physical_energy(u, u_t):
     return 0.5 * float(np.sum(dens)) * u.grid.spatial_phys_cell
 
 
-@DEALIASED
 @pytest.mark.parametrize(
     "kind", [Nonlinearity(word) for word in NONLINEARITY_KINDS],
     ids=["full_grad_square", "spatial_grad_square", "t", "x1", "x2", "none"])
-def test_trajectory_records_match_per_slice_norms(kind, dealiased):
+def test_trajectory_records_match_per_slice_norms(kind):
     # two Picard iterations and four RK4 steps keep the two solutions apart
     # by more than 1e-3 relative after t = 0, so that abs_diff_l2 is not a
     # cancellation and is compared relatively like the other columns
@@ -783,14 +781,6 @@ def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw
     ("solve.ini", "params", "amplitude", "a/b"),
     pytest.param("solve.ini", "params", "amplitude", "1" + "0" * 400,
                  id="solve.ini-params-amplitude-1e400"),
-    ("solve.ini", "grid", "d_xi", "nan"),
-    ("solve.ini", "grid", "d_tau", "off"),
-    ("solve.ini", "grid", "d_xi", "0"),
-    ("solve.ini", "grid", "d_xi", "-1"),
-    ("solve.ini", "grid", "d_tau", "0"),
-    ("scaling.ini", "grid", "d_tau", "-0.5"),
-    ("constants.ini", "grid", "d_tau", "-0.5"),
-    ("constants.ini", "grid", "d_xi", "1"),
     ("constants.ini", "ascent", "tol", "small"),
     ("scaling.ini", "params", "band_limit", "-inf"),
     ("scaling.ini", "params", "band_limit", "100"),
@@ -887,6 +877,14 @@ def _cli_config_error(tmp_path, capsys, config, text, extra=()):
     ("ledger.ini", "experiment", "workers = 2", "workers"),
     ("solve.ini", "grid", "d_xi = 1", "d_xi"),
     ("scaling.ini", "grid", "d_xi = 1", "d_xi"),
+    ("solve.ini", "grid", "d_xi = nan", "d_xi"),
+    ("solve.ini", "grid", "d_tau = off", "d_tau"),
+    ("solve.ini", "grid", "d_xi = 0", "d_xi"),
+    ("solve.ini", "grid", "d_xi = -1", "d_xi"),
+    ("solve.ini", "grid", "d_tau = 0", "d_tau"),
+    ("scaling.ini", "grid", "d_tau = -0.5", "d_tau"),
+    ("constants.ini", "grid", "d_tau = -0.5", "d_tau"),
+    ("constants.ini", "grid", "d_xi = 1", "d_xi"),
     # the scaling check reads no time lattice
     ("scaling.ini", "grid", "nt = 8", "nt")])
 def test_cli_rejects_unknown_key_or_section(tmp_path, capsys, config, section,

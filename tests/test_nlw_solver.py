@@ -16,7 +16,7 @@ from conewave.nlw_solver import (NONLINEARITY_KINDS, _duhamel_data, _evolve,
 from conewave.norms import fl_norm, spatial_l2
 from conewave.spectral_grid import to_frequency, to_physical
 
-from conftest import DEALIASED, count_fft_calls
+from conftest import count_fft_calls
 
 
 def make_grid(nx=16, nt=8):
@@ -212,13 +212,12 @@ def test_deriv_of_square_vs_finite_difference():
     assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.25)
 
 
-@DEALIASED
 @pytest.mark.parametrize("kind", [
     Nonlinearity("spatial_grad_square"), Nonlinearity("full_grad_square"),
     Nonlinearity("deriv_of_square_t"), Nonlinearity("deriv_of_square_x1"),
     Nonlinearity("deriv_of_square_x2")],
     ids=["spatial_grad_square", "full_grad_square", "dt", "dx1", "dx2"])
-def test_nonlinearity_eval_matches_numpy_reference(kind, dealiased):
+def test_nonlinearity_eval_matches_numpy_reference(kind):
     grid = make_grid(nx=16)
     rng = np.random.default_rng(5)
     u = rng.standard_normal(grid.spatial_shape)
@@ -309,9 +308,8 @@ def picard_map(data, kind, cfg, u, u_t):
 
 
 @pytest.mark.parametrize("n_steps", [7, 24])
-@DEALIASED
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
-def test_picard_iterates_match_single_slice_map(kind, dealiased, n_steps):
+def test_picard_iterates_match_single_slice_map(kind, n_steps):
     grid = make_grid(nx=16)
     data = random_data(grid, s=1.75, r=2, seed=n_steps, band_limit=5.0).scaled(0.3)
     cfg = SolverConfig(T=0.5, n_steps=n_steps, picard_tol=1e-300)
@@ -385,9 +383,8 @@ def eager_slices(grid, hats):
     return fields[:hats.shape[1]], fields[hats.shape[1]:]
 
 
-@DEALIASED
 @pytest.mark.parametrize("solver", ["picard", "rk4"])
-def test_lazy_slices_equal_eager_path_and_share_one_array(solver, dealiased):
+def test_lazy_slices_equal_eager_path_and_share_one_array(solver):
     grid = make_grid(nx=16)
     data = random_data(grid, s=1.75, r=2, seed=7, band_limit=5.0).scaled(0.3)
     cfg = SolverConfig(T=0.5, n_steps=12, picard_max=3)
