@@ -207,7 +207,7 @@ SCHEMAS = {
                    "r": (_list_of(RATIONAL), REQUIRED, LEBESGUE),
                    "lambda": (_list_of(INT, distinct=True), (2, 4), DYADIC),
                    # unset: nx // 4, see _check_scaling
-                   "band_limit": (FLOAT, None, POSITIVE)}}, None, _check_scaling),
+                   "band_limit": (FLOAT, None, AT_LEAST_1)}}, None, _check_scaling),
     "strichartz": ({"params": {
         "ensemble": (INT, 8, AT_LEAST_1),
         "q_t": (FLOAT, 4.0, (">= 4", lambda q: q >= 4)),

@@ -47,6 +47,16 @@ class LebesgueExponents:
         return self.r / (self.r - 1)
 
 
+def lp_norm(mag: np.ndarray, p, cell: float, axis=None):
+    """Quadrature L^p norm ( sum mag^p cell )^{1/p} of nonnegative values over
+    axis (all axes by default), p = inf taken as the max over axis.  Every
+    discrete L^p norm of the package (data, space-time, density and
+    trajectory norms) is this one sum."""
+    if math.isinf(p):
+        return mag.max(axis=axis)
+    return (np.sum(mag ** p, axis=axis) * cell) ** (1.0 / p)
+
+
 def fl_norm(f: SpatialField, r, s, homogeneous: bool = False) -> float:
     """Fourier-Lebesgue data norm ( sum <xi>^{s p} |f-hat|^p dxi^2 )^{1/p}, p = r'.
 
@@ -61,34 +71,23 @@ def fl_norm(f: SpatialField, r, s, homogeneous: bool = False) -> float:
         w[nz] = r_xi[nz] ** s
     else:
         w = bracket_weight(r_xi) ** s
-    total = float(np.sum((w * mag) ** p)) * f.grid.spatial_freq_cell
-    return total ** (1.0 / p)
+    return float(lp_norm(w * mag, p, f.grid.spatial_freq_cell))
 
 
 def mixed_norm(u: SpaceTimeField, q_t, rho_x) -> float:
     """L^q in time of L^rho in space, with rho or q = inf taken as lattice max."""
     if u.rep != PHYSICAL:
         raise ValueError("mixed_norm expects a physical-representation field")
-    mag = np.abs(u.values)
-    if math.isinf(rho_x):
-        per_t = mag.max(axis=(1, 2))
-    else:
-        cell = u.grid.spatial_phys_cell
-        per_t = (np.sum(mag ** rho_x, axis=(1, 2)) * cell) ** (1.0 / rho_x)
-    return _temporal_norm(per_t, q_t, u.grid.dt)
-
-
-def _temporal_norm(per_t, q_t, dt) -> float:
-    """L^{q_t} over the time lattice of per-slice values, q_t = inf as the max."""
-    if math.isinf(q_t):
-        return float(per_t.max())
-    return float((np.sum(per_t ** q_t) * dt) ** (1.0 / q_t))
+    per_t = lp_norm(np.abs(u.values), rho_x, u.grid.spatial_phys_cell, axis=(1, 2))
+    return float(lp_norm(per_t, q_t, u.grid.dt))
 
 
 def spatial_l2(f: SpatialField) -> float:
-    """Quadrature-weighted spatial l2 norm in either representation."""
+    """Quadrature-weighted spatial l2 norm in either representation.  Taken in
+    the physical one it is the oracle for the Plancherel norms of nlw_solver,
+    independent of them by its representation, not by its summation."""
     cell = f.grid.spatial_phys_cell if f.rep == PHYSICAL else f.grid.spatial_freq_cell
-    return float(math.sqrt(np.sum(np.abs(f.values) ** 2) * cell))
+    return float(lp_norm(np.abs(f.values), 2, cell))
 
 
 def sobolev_correspondence(s, r, n=2) -> Fraction:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frequency_geometry import _VACUOUS_L, BallCone, Reflect
-from .norms import LebesgueExponents
+from .norms import LebesgueExponents, lp_norm
 from .spectral_grid import (FREQUENCY, TWO_PI, GridSpec, SpaceTimeField,
                             flip_wrap, region_mask, to_physical)
 
@@ -208,7 +208,7 @@ class ConstantMeasurement:
 
 
 def _normalize(values: np.ndarray, q: float, w: float) -> np.ndarray:
-    nrm = (np.sum(values ** q) * w) ** (1.0 / q)
+    nrm = lp_norm(values, q, w)
     if nrm == 0:
         return values
     return values / nrm

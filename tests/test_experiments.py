@@ -784,6 +784,9 @@ def test_cli_rejects_non_integer_key(tmp_path, capsys, config, section, key, raw
     ("constants.ini", "ascent", "tol", "small"),
     ("scaling.ini", "params", "band_limit", "-inf"),
     ("scaling.ini", "params", "band_limit", "100"),
+    # below the first lattice frequency the data is its xi = 0 mode alone,
+    # whose homogeneous norm 0 the scaling check divided by
+    ("scaling.ini", "params", "band_limit", "0.5"),
     ("ledger.ini", "params", "r_min", "2"),
     # a repeated list value wrote its rows again; the ledger has no r
     # list, so one is rejected as an unknown key that quotes its value
@@ -1048,25 +1051,52 @@ def test_manifest_config_echo_round_trips(tmp_path, config):
 
 
 def _readme_config_keys(text):
-    """(kind, section, key) named by each row of README's Config keys table."""
+    """Default cell of each (kind, section, key) named by a row of README's
+    Config keys table; a row naming several keys gives one default for all
+    or one each, separated by ", "."""
     table = text.split("### Config keys", 1)[1].split("\n## ", 1)[0]
-    named = set()
+    named = {}
     for line in table.splitlines():
         cells = [cell.strip() for cell in line.strip("|").split("|")]
         if cells[0] in experiments.SCHEMAS:
             section = re.match(r"`\[(\S+)\] ", cells[1]).group(1)
-            named.update((cells[0], section, key)
-                         for key in re.findall(r"(\w+)`", cells[1]))
+            keys = re.findall(r"(\w+)`", cells[1])
+            defaults = cells[3].split(", ")
+            if len(defaults) == 1:
+                defaults *= len(keys)
+            assert len(defaults) == len(keys), line
+            named.update(((cells[0], section, key), default)
+                         for key, default in zip(keys, defaults))
     return named
 
 
+def _readme_default(cell, parse):
+    """The schema default a README default cell states: `required` is
+    REQUIRED, `unset` None (a colon starts a gloss), and any other cell is
+    parsed as its key's config value."""
+    word = cell.split(":", 1)[0]
+    if word == "required":
+        return experiments.REQUIRED
+    if word == "unset":
+        return None
+    return parse(word.strip("`"))
+
+
 def test_readme_config_table_matches_schemas():
+    readme = _readme_config_keys(README.read_text(encoding="utf-8"))
     want = set()
     for kind, (tables, axes, _) in experiments.SCHEMAS.items():
         want.update((kind, section, key)
                     for section, keys in tables.items() for key in keys)
         want.update((kind, "sweep.<name>", axis.lower()) for axis in axes or ())
-    assert _readme_config_keys(README.read_text(encoding="utf-8")) == want
+    assert set(readme) == want
+    # sweep axes are left out: an absent volumes axis keeps the case's
+    # default, which no schema holds
+    for kind, (tables, _, _) in experiments.SCHEMAS.items():
+        for section, keys in tables.items():
+            for key, ((_, parse), default, _) in keys.items():
+                assert _readme_default(readme[kind, section, key],
+                                       parse) == default, (kind, section, key)
 
 
 def test_cli_rejects_misspelled_constants_sweep_key(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from conewave import (FREQUENCY, PHYSICAL, SpaceTimeField, SpatialField,
                       LebesgueExponents, critical_exponent, fl_norm, mixed_norm,
                       scaling_law_check, sobolev_correspondence)
-from conewave.norms import rescale_spatial, spatial_l2
+from conewave.norms import lp_norm, rescale_spatial, spatial_l2
 from conewave.spectral_grid import bracket_weight, to_physical
 
 from conftest import random_field
@@ -28,6 +28,26 @@ def test_exponent_types():
     assert 1 / ex.r + 1 / ex.p == 1
     with pytest.raises(ValueError):
         LebesgueExponents(Fraction(5, 2))
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 4.5, math.inf])
+def test_lp_norm_matches_literal_sums(p):
+    """The quadrature kernel over all axes and over axes (1, 2) equals a
+    Python loop of x^p cell summed and rooted, or the loop's max at p = inf."""
+    mag = np.random.default_rng(8).random((3, 4, 5))
+    cell = 0.37
+
+    def literal(values):
+        if math.isinf(p):
+            return max(values)
+        return sum(x ** p * cell for x in values) ** (1 / p)
+
+    assert lp_norm(mag, p, cell) == pytest.approx(
+        literal(mag.ravel().tolist()), rel=1e-14, abs=0)
+    per_t = lp_norm(mag, p, cell, axis=(1, 2))
+    assert per_t.shape == (3,)
+    for got, slice_ in zip(per_t, mag):
+        assert got == pytest.approx(literal(slice_.ravel().tolist()), rel=1e-14, abs=0)
 
 
 def test_fl_norm_single_mode_closed_form(grid8):
